@@ -3,46 +3,41 @@
    drives it (each shard worker owns its shard's Db — see lib/shard).
    [intern] enforces that single-writer rule with an assertion: the
    first interning domain pins itself as the writer, and a later
-   intern from any other domain raises instead of silently racing.
-   [adopt_writer] re-pins explicitly when ownership is handed over
-   (e.g. a database built by a parallel-import domain and mutated by
-   the coordinator afterwards). Reads take the same mutex, so lookups
-   from non-owner domains (the scatter-gather read path) are safe
-   against a concurrent intern's Hashtbl resize. *)
+   intern of a new name from any other domain raises instead of
+   silently racing. [adopt_writer] re-pins explicitly when ownership
+   is handed over (e.g. a database built by a parallel-import domain
+   and mutated by the coordinator afterwards).
+
+   Reads never lock: the writer publishes each new name as a fresh
+   immutable snapshot through an [Atomic.t], and readers on any domain
+   (the scatter-gather read path) only ever see a published one. A new
+   name copies the table, which is cheap because token dictionaries
+   hold schema names: a handful of labels, types and property keys. *)
+
+module Tbl = Hashtbl.Make (String)
+
+type snapshot = {
+  by_name : int Tbl.t; (* never mutated once published *)
+  by_id : string array; (* exactly the interned names, in id order *)
+}
 
 type t = {
-  by_name : (string, int) Hashtbl.t;
-  mutable by_id : string array;
-  mutable count : int;
-  mutable writer : int;  (* Domain id of the pinned writer; -1 = unpinned *)
-  mu : Mutex.t;
+  snap : snapshot Atomic.t;
+  mutable writer : int; (* Domain id of the pinned writer; -1 = unpinned *)
+  mu : Mutex.t; (* serialises interns of new names and [adopt_writer] *)
 }
 
 let create () =
-  {
-    by_name = Hashtbl.create 16;
-    by_id = Array.make 8 "";
-    count = 0;
-    writer = -1;
-    mu = Mutex.create ();
-  }
+  { snap = Atomic.make { by_name = Tbl.create 1; by_id = [||] }; writer = -1; mu = Mutex.create () }
 
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-    Mutex.unlock t.mu;
-    v
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e
+let adopt_writer t = Mutex.protect t.mu (fun () -> t.writer <- (Domain.self () :> int))
 
-let adopt_writer t =
-  locked t (fun () -> t.writer <- (Domain.self () :> int))
+let find t name = Tbl.find_opt (Atomic.get t.snap).by_name name
 
-let intern t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.by_name name with
+let intern_new t name =
+  Mutex.protect t.mu (fun () ->
+      let s = Atomic.get t.snap in
+      match Tbl.find_opt s.by_name name with
       | Some id -> id
       | None ->
         let self = (Domain.self () :> int) in
@@ -53,18 +48,18 @@ let intern t name =
                "Dict.intern: single-writer discipline violated (writer domain %d, \
                 intern of %S from domain %d; call adopt_writer to hand over)"
                t.writer name self);
-        let id = t.count in
-        if id = Array.length t.by_id then begin
-          let bigger = Array.make (2 * id) "" in
-          Array.blit t.by_id 0 bigger 0 id;
-          t.by_id <- bigger
-        end;
-        t.by_id.(id) <- name;
-        t.count <- id + 1;
-        Hashtbl.replace t.by_name name id;
+        let id = Array.length s.by_id in
+        let by_name = Tbl.copy s.by_name in
+        Tbl.replace by_name name id;
+        Atomic.set t.snap { by_name; by_id = Array.append s.by_id [| name |] };
         id)
 
-let find t name = locked t (fun () -> Hashtbl.find_opt t.by_name name)
+(* Existing names, the common case, take the lock-free path; [find]
+   with [Not_found] rather than [find_opt] spares the option box. *)
+let intern t name =
+  match Tbl.find (Atomic.get t.snap).by_name name with
+  | id -> id
+  | exception Not_found -> intern_new t name
 
 let find_exn t name =
   match find t name with
@@ -72,11 +67,11 @@ let find_exn t name =
   | None -> raise (Mgq_core.Types.Schema_error (Printf.sprintf "unknown name %S" name))
 
 let name t id =
-  locked t (fun () ->
-      if id < 0 || id >= t.count then
-        raise (Mgq_core.Types.Schema_error (Printf.sprintf "unknown token id %d" id))
-      else t.by_id.(id))
+  let by_id = (Atomic.get t.snap).by_id in
+  if id < 0 || id >= Array.length by_id then
+    raise (Mgq_core.Types.Schema_error (Printf.sprintf "unknown token id %d" id))
+  else by_id.(id)
 
-let count t = locked t (fun () -> t.count)
+let count t = Array.length (Atomic.get t.snap).by_id
 
-let names t = locked t (fun () -> List.init t.count (fun i -> t.by_id.(i)))
+let names t = Array.to_list (Atomic.get t.snap).by_id

@@ -7,11 +7,13 @@
 
     {b Concurrency}: lookups may come from any domain (the sharded
     read path resolves tokens against databases owned by other
-    domains) and are mutex-guarded against a concurrent intern's
-    table resize. Mutation follows a single-writer discipline: the
-    first interning domain is pinned as the writer and interns from
-    any other domain raise [Invalid_argument] — use {!adopt_writer}
-    for an explicit ownership handover. *)
+    domains) and take no lock: each new name is published as a fresh
+    immutable snapshot, so a reader sees either the dictionary before
+    a concurrent intern or after it, never a table mid-update.
+    Mutation follows a single-writer discipline: the first interning
+    domain is pinned as the writer and interns of new names from any
+    other domain raise [Invalid_argument] — use {!adopt_writer} for
+    an explicit ownership handover. *)
 
 type t
 

@@ -152,8 +152,14 @@ let error_of_unix = function
   | err -> Other (Unix.error_message err)
 
 (* A connection plus its transport: plain fd I/O, or routed through a
-   [Sim_net] plan when the rig is the one injecting faults. *)
-type link = { fd : Unix.file_descr; send : string -> unit; recv : bytes -> int }
+   [Sim_net] plan when the rig is the one injecting faults. [close]
+   closes the fd exactly once, even after an injected reset already
+   closed it: by then the number may belong to another socket. *)
+type link = {
+  send : string -> unit;
+  recv : bytes -> int;
+  close : unit -> unit;
+}
 
 let plain_send fd s =
   let n = String.length s in
@@ -184,11 +190,18 @@ let connect config =
      (try Unix.close fd with _ -> ());
      raise (Transport (error_of_unix err)));
   match config.net with
-  | None -> { fd; send = plain_send fd; recv = plain_recv fd }
+  | None ->
+    let closed = ref false in
+    let close () =
+      if not !closed then begin
+        closed := true;
+        try Unix.close fd with _ -> ()
+      end
+    in
+    { send = plain_send fd; recv = plain_recv fd; close }
   | Some plan ->
     let c = Sim_net.attach plan fd in
     {
-      fd;
       send =
         (fun s ->
           try Sim_net.send c s
@@ -198,6 +211,7 @@ let connect config =
           try Sim_net.recv c buf with
           | Unix.Unix_error (Unix.EINTR, _, _) -> 0
           | Unix.Unix_error (err, _, _) -> raise (Transport (error_of_unix err)));
+      close = (fun () -> Sim_net.close c);
     }
 
 (* Read one response: status + headers + Content-Length body. Only one
@@ -337,7 +351,7 @@ let record_retry st =
   st.retries <- st.retries + 1;
   Mutex.unlock st.smutex
 
-let close_link l = try Unix.close l.fd with _ -> ()
+let close_link l = l.close ()
 
 (* One logical request over a (possibly reused) connection. Returns
    the connection to use next, or None when it must be re-opened.

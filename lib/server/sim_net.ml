@@ -135,13 +135,22 @@ type conn = {
   plan : plan;
   fd : Unix.file_descr;
   mutable sent_first_byte : bool;
+  mutable closed : bool;
 }
 
 let attach plan fd =
   tally plan (fun p -> p.conns <- p.conns + 1);
-  { plan; fd; sent_first_byte = false }
+  { plan; fd; sent_first_byte = false; closed = false }
 
 let fd c = c.fd
+
+(* Once closed, the fd number is free for the process to reuse, so a
+   second close could shut an unrelated socket. *)
+let close c =
+  if not c.closed then begin
+    c.closed <- true;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
 
 (* A real RST, not just EOF: linger(0) + close discards the kernel
    send queue and sends a reset segment. The raised exception carries
@@ -150,7 +159,7 @@ let fd c = c.fd
 let inject_reset c ~op ~at =
   tally c.plan (fun p -> p.resets_injected <- p.resets_injected + 1);
   (try Unix.setsockopt_optint c.fd Unix.SO_LINGER (Some 0) with Unix.Unix_error _ -> ());
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  close c;
   raise (Injected_reset { op; at })
 
 let sleep_ns ns = if ns > 0 then Thread.delay (float_of_int ns /. 1e9)

@@ -51,9 +51,14 @@ type conn
 
 val attach : plan -> Unix.file_descr -> conn
 (** Wrap a connected socket. The fd stays owned by the caller except
-    after an injected reset, which closes it. *)
+    after an injected reset, which closes it; {!close} closes it
+    exactly once either way. *)
 
 val fd : conn -> Unix.file_descr
+
+val close : conn -> unit
+(** Close the fd unless an injected reset (or an earlier [close])
+    already did. *)
 
 val send : conn -> string -> unit
 (** Write the whole string through the fault plan: first-byte delay

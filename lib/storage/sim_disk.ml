@@ -1,11 +1,13 @@
-(* LRU entries form a doubly-linked list threaded through a hashtable;
-   the list head is most-recently-used. *)
-type node = {
-  page : int;
-  mutable dirty : bool;
-  mutable prev : node option;
-  mutable next : node option;
-}
+(* The buffer pool is kept in arrays indexed by page id (pages are
+   dense, 0 .. page_count - 1): a residency/dirty state byte per page
+   and an exact-LRU doubly-linked list threaded through [prev]/[next]
+   ints, head most-recently-used. A page access is then a few array
+   reads and writes — no hashing and no allocation. *)
+
+let absent = '\000'
+let clean = '\001'
+let dirty = '\002'
+let nil = -1
 
 type t = {
   cost : Cost_model.t;
@@ -15,9 +17,13 @@ type t = {
   mutable dirty_count : int;
   mutable pages : Bytes.t array; (* the "disk": all pages ever allocated *)
   mutable page_count : int;
-  resident : (int, node) Hashtbl.t;
-  mutable lru_head : node option; (* most recently used *)
-  mutable lru_tail : node option; (* eviction candidate *)
+  (* Per-page pool state, grown alongside [pages]. *)
+  mutable state : Bytes.t; (* [absent], [clean] or [dirty] *)
+  mutable prev : int array; (* towards the head; [nil] at the head *)
+  mutable next : int array; (* towards the tail; [nil] at the tail *)
+  mutable head : int; (* most recently used; [nil] when the pool is empty *)
+  mutable tail : int; (* eviction candidate *)
+  mutable resident_count : int;
   mutable last_faulted_page : int;
   mutable faults : Fault.plan option;
   mutable crashed : bool;
@@ -32,9 +38,12 @@ let create ?config ?(page_size = 8192) ?(pool_pages = 4096) ?checkpoint_dirty_pa
     dirty_count = 0;
     pages = Array.make 64 Bytes.empty;
     page_count = 0;
-    resident = Hashtbl.create 1024;
-    lru_head = None;
-    lru_tail = None;
+    state = Bytes.make 64 absent;
+    prev = Array.make 64 nil;
+    next = Array.make 64 nil;
+    head = nil;
+    tail = nil;
+    resident_count = 0;
     last_faulted_page = -100;
     faults = None;
     crashed = false;
@@ -68,89 +77,87 @@ let check_alive t =
   end
 let page_size t = t.page_size
 let page_count t = t.page_count
-let resident_pages t = Hashtbl.length t.resident
+let resident_pages t = t.resident_count
+let dirty_pages t = t.dirty_count
 let pool_capacity t = t.pool_capacity
 let disk_bytes t = t.page_count * t.page_size
 
 (* ---- LRU list maintenance ---- *)
 
-let detach t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.lru_head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.lru_tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+let detach t page =
+  let p = t.prev.(page) and n = t.next.(page) in
+  if p = nil then t.head <- n else t.next.(p) <- n;
+  if n = nil then t.tail <- p else t.prev.(n) <- p
 
-let push_front t node =
-  node.next <- t.lru_head;
-  node.prev <- None;
-  (match t.lru_head with Some h -> h.prev <- Some node | None -> t.lru_tail <- Some node);
-  t.lru_head <- Some node
+let push_front t page =
+  t.prev.(page) <- nil;
+  t.next.(page) <- t.head;
+  if t.head = nil then t.tail <- page else t.prev.(t.head) <- page;
+  t.head <- page
 
-(* Move [node] to the front unless it already is the front: repeated
-   hits on the same page (a record chain within one page) then cost
-   no list surgery and no allocation. Comparing against a freshly
-   built [Some node] would both allocate and never be physically
-   equal, so the head test matches on the option's payload. *)
-let touch t node =
-  match t.lru_head with
-  | Some h when h == node -> ()
-  | _ ->
-    detach t node;
-    push_front t node
-
-let evict_one t =
-  match t.lru_tail with
-  | None -> ()
-  | Some victim ->
-    detach t victim;
-    Hashtbl.remove t.resident victim.page;
-    if victim.dirty then begin
-      t.dirty_count <- t.dirty_count - 1;
-      Cost_model.record_page_flush t.cost
-    end
-
-let rec enforce_capacity t =
-  if Hashtbl.length t.resident > t.pool_capacity then begin
-    evict_one t;
-    enforce_capacity t
+(* Repeated hits on the hottest page (a record chain within one page)
+   cost no list surgery. *)
+let touch t page =
+  if t.head <> page then begin
+    detach t page;
+    push_front t page
   end
 
+let evict_one t =
+  let victim = t.tail in
+  detach t victim;
+  t.resident_count <- t.resident_count - 1;
+  if Bytes.get t.state victim = dirty then begin
+    t.dirty_count <- t.dirty_count - 1;
+    Cost_model.record_page_flush t.cost
+  end;
+  Bytes.set t.state victim absent
+
+let enforce_capacity t =
+  while t.resident_count > t.pool_capacity do
+    evict_one t
+  done
+
+(* Make a non-resident page the most recently used one. *)
+let admit t page ~is_dirty =
+  Bytes.set t.state page (if is_dirty then dirty else clean);
+  if is_dirty then t.dirty_count <- t.dirty_count + 1;
+  t.resident_count <- t.resident_count + 1;
+  push_front t page;
+  enforce_capacity t
+
 (* Bring [page] into the pool, charging the appropriate event. *)
-let fetch t page ~dirty =
-  (* [find] + exception, not [find_opt]: the option box would be one
-     more allocation on every single page access. *)
-  match Hashtbl.find t.resident page with
-  | node ->
+let fetch t page ~is_dirty =
+  let s = Bytes.get t.state page in
+  if s <> absent then begin
     Cost_model.record_page_hit t.cost;
-    if dirty && not node.dirty then begin
-      node.dirty <- true;
+    if is_dirty && s = clean then begin
+      Bytes.set t.state page dirty;
       t.dirty_count <- t.dirty_count + 1
     end;
-    touch t node;
-    node
-  | exception Not_found ->
+    touch t page
+  end
+  else begin
     let sequential = page = t.last_faulted_page + 1 || page = t.last_faulted_page in
     Cost_model.record_page_fault t.cost ~sequential;
     t.last_faulted_page <- page;
-    let node = { page; dirty; prev = None; next = None } in
-    if dirty then t.dirty_count <- t.dirty_count + 1;
-    Hashtbl.replace t.resident page node;
-    push_front t node;
-    enforce_capacity t;
-    node
+    admit t page ~is_dirty
+  end
 
 let flush_all t =
   check_alive t;
   (match t.faults with None -> () | Some plan -> Fault.on_flush plan);
-  let dirty = ref 0 in
-  Hashtbl.iter (fun _ node -> if node.dirty then begin incr dirty; node.dirty <- false end)
-    t.resident;
+  let flushed = ref 0 in
+  let page = ref t.head in
+  while !page <> nil do
+    if Bytes.get t.state !page = dirty then begin
+      incr flushed;
+      Bytes.set t.state !page clean
+    end;
+    page := t.next.(!page)
+  done;
   t.dirty_count <- 0;
-  if !dirty > 0 then Cost_model.record_page_flush ~n:!dirty t.cost
+  if !flushed > 0 then Cost_model.record_page_flush ~n:!flushed t.cost
 
 (* Checkpoint: once the dirty-page count crosses the configured
    threshold, write everything back in one burst. *)
@@ -159,23 +166,29 @@ let maybe_checkpoint t =
   | Some threshold when t.dirty_count >= threshold -> flush_all t
   | Some _ | None -> ()
 
+let grow t =
+  let n = t.page_count in
+  let extend a fill =
+    let bigger = Array.make (2 * n) fill in
+    Array.blit a 0 bigger 0 n;
+    bigger
+  in
+  t.pages <- extend t.pages Bytes.empty;
+  t.prev <- extend t.prev nil;
+  t.next <- extend t.next nil;
+  let state = Bytes.make (2 * n) absent in
+  Bytes.blit t.state 0 state 0 n;
+  t.state <- state
+
 let allocate_page t =
   check_alive t;
-  if t.page_count = Array.length t.pages then begin
-    let bigger = Array.make (2 * t.page_count) Bytes.empty in
-    Array.blit t.pages 0 bigger 0 t.page_count;
-    t.pages <- bigger
-  end;
+  if t.page_count = Array.length t.pages then grow t;
   let id = t.page_count in
   t.pages.(id) <- Bytes.make t.page_size '\000';
   t.page_count <- t.page_count + 1;
   (* A fresh page is resident and dirty but charges no fault: it was
      never on disk. *)
-  let node = { page = id; dirty = true; prev = None; next = None } in
-  t.dirty_count <- t.dirty_count + 1;
-  Hashtbl.replace t.resident id node;
-  push_front t node;
-  enforce_capacity t;
+  admit t id ~is_dirty:true;
   maybe_checkpoint t;
   id
 
@@ -183,7 +196,7 @@ let read_page t page =
   assert (page >= 0 && page < t.page_count);
   check_alive t;
   (match t.faults with None -> () | Some plan -> Fault.on_page_read plan ~page);
-  let _node = fetch t page ~dirty:false in
+  fetch t page ~is_dirty:false;
   t.pages.(page)
 
 let with_page_read t page f = f (read_page t page)
@@ -196,7 +209,7 @@ let with_page_write t page f =
   in
   match decision with
   | Fault.Write_ok ->
-    let _node = fetch t page ~dirty:true in
+    fetch t page ~is_dirty:true;
     let result = f t.pages.(page) in
     maybe_checkpoint t;
     result
@@ -208,7 +221,7 @@ let with_page_write t page f =
     Fault.record_crash plan;
     let bytes = t.pages.(page) in
     let before = Bytes.copy bytes in
-    let _node = fetch t page ~dirty:true in
+    fetch t page ~is_dirty:true;
     ignore (f bytes);
     t.crashed <- true;
     let writes = (Fault.stats plan).writes in
@@ -219,24 +232,31 @@ let with_page_write t page f =
     end
     else raise (Fault.Crashed { writes })
 
+(* Drop every page from the pool without writing anything back. *)
+let empty_pool t =
+  let page = ref t.head in
+  while !page <> nil do
+    let next = t.next.(!page) in
+    Bytes.set t.state !page absent;
+    page := next
+  done;
+  t.head <- nil;
+  t.tail <- nil;
+  t.resident_count <- 0;
+  t.dirty_count <- 0;
+  t.last_faulted_page <- -100
+
 let reopen t =
   (* Restart after a crash: the pool is cold, the fault plan is gone,
      whatever reached the platter (including any torn page) is what
      recovery gets to read. *)
   t.crashed <- false;
   disarm_faults t;
-  Hashtbl.reset t.resident;
-  t.lru_head <- None;
-  t.lru_tail <- None;
-  t.dirty_count <- 0;
-  t.last_faulted_page <- -100
+  empty_pool t
 
 let evict_all t =
   flush_all t;
-  Hashtbl.reset t.resident;
-  t.lru_head <- None;
-  t.lru_tail <- None;
-  t.last_faulted_page <- -100
+  empty_pool t
 
 let set_pool_capacity t capacity =
   t.pool_capacity <- max 1 capacity;

@@ -7,7 +7,16 @@
     charged a hit, and evicting a dirty page charges a flush — exactly
     the events behind the paper's import-time spikes and cold-cache
     observations. Both engines allocate their stores from an instance
-    of this module. *)
+    of this module.
+
+    The pool is an exact LRU kept in arrays indexed by page id, so an
+    access does no hashing and allocates nothing.
+
+    {b Concurrency}: a disk belongs to one domain. Every access, reads
+    included, updates the pool's LRU order and the cost counters
+    without synchronisation, so a disk must only be driven by the
+    domain that owns its database (each shard worker owns its shard's
+    disk). *)
 
 type t
 
@@ -37,6 +46,9 @@ val allocate_page : t -> int
 val page_count : t -> int
 val resident_pages : t -> int
 val pool_capacity : t -> int
+
+val dirty_pages : t -> int
+(** Resident pages written since they were last flushed. *)
 
 val set_pool_capacity : t -> int -> unit
 (** Shrink or grow the pool; shrinking evicts (and flushes) LRU pages

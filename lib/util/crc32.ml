@@ -1,33 +1,32 @@
 (* Table-driven CRC-32 with the reflected IEEE polynomial 0xEDB88320,
-   matching zlib's crc32(). *)
+   matching zlib's crc32(). The table is built once at module
+   initialisation, so any domain may call in first; the running
+   checksum is kept in a native int (32 bits of a 63-bit int) so the
+   per-byte loop allocates nothing. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
 
 let initial = 0xFFFFFFFFl
 
-let update crc byte =
-  let table = Lazy.force table in
-  let index = Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int (Char.code byte))) 0xFFl) in
-  Int32.logxor table.(index) (Int32.shift_right_logical crc 8)
+let update_int crc byte = table.((crc lxor Char.code byte) land 0xFF) lxor (crc lsr 8)
+
+let update crc byte = Int32.of_int (update_int (Int32.to_int crc land 0xFFFFFFFF) byte)
 
 let finalize crc = Int32.logxor crc 0xFFFFFFFFl
 
 let digest_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.digest_sub: out of bounds";
-  let crc = ref initial in
+  let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := update !crc s.[i]
+    crc := update_int !crc (String.unsafe_get s i)
   done;
-  finalize !crc
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
 
 let digest s = digest_sub s ~pos:0 ~len:(String.length s)

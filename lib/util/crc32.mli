@@ -1,8 +1,8 @@
 (** CRC-32 (IEEE 802.3, the zlib/PNG polynomial).
 
     Used to checksum write-ahead-log records and snapshot payloads so
-    torn or corrupted bytes are detected before they are interpreted,
-    instead of feeding garbage to [Marshal]. *)
+    torn or corrupted bytes are detected before they are decoded.
+    Every function is safe to call from any domain. *)
 
 val digest : string -> int32
 (** Checksum of a whole string. *)

@@ -559,6 +559,32 @@ let test_sim_net_deterministic_schedule () =
   check Alcotest.bool "some sends survived" true (List.exists Option.is_none s1);
   check Alcotest.bool "different seed, different schedule" true (s1 <> s3)
 
+(* An injected reset closes the link's fd; the fd the process opens
+   next reuses that number, and closing the link afterwards must not
+   close it a second time (which would shut the new socket). *)
+let test_loadgen_reset_closes_link_once () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 4;
+  let port = match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  let config =
+    {
+      Loadgen.default_config with
+      port;
+      net = Some (Sim_net.plan ~seed:1 ~reset_send_p:1.0 ());
+    }
+  in
+  let link = Loadgen.connect config in
+  (match link.Loadgen.send "GET /healthz HTTP/1.1\r\n\r\n" with
+  | () -> Alcotest.fail "reset did not fire"
+  | exception Sim_net.Injected_reset _ -> ());
+  let fresh = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Loadgen.close_link link;
+  let alive = match Unix.fstat fresh with _ -> true | exception Unix.Unix_error _ -> false in
+  check Alcotest.bool "fd opened after the reset survives close_link" true alive;
+  Unix.close fresh;
+  Unix.close listener
+
 (* Trickled sends still deliver every byte, and the stats ledger
    accounts for them exactly. *)
 let test_sim_net_trickle_accounting () =
@@ -863,6 +889,8 @@ let () =
             test_sim_net_trickle_accounting;
           Alcotest.test_case "suspension keeps the schedule stable" `Quick
             test_sim_net_suspend_keeps_schedule;
+          Alcotest.test_case "reset link closes exactly once" `Quick
+            test_loadgen_reset_closes_link_once;
         ] );
       ( "e2e",
         [

@@ -285,6 +285,180 @@ let prop_blob_roundtrip =
       List.for_all2 (fun h s -> Blob_store.read b h = s) handles strings)
 
 (* ------------------------------------------------------------------ *)
+(* Sim_disk against a reference LRU                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive exact LRU over an association list, most recently used
+   first, with the same charging rules as the pool: hit, fault
+   (sequential when adjacent to or equal to the last faulted page),
+   flush of a dirty victim, checkpoint burst at the threshold. *)
+module Lru_model = struct
+  type t = {
+    mutable lru : (int * bool) list; (* (page, dirty), MRU first *)
+    mutable capacity : int;
+    mutable pages : int;
+    mutable last_fault : int;
+    mutable hits : int;
+    mutable faults : int;
+    mutable seq_faults : int;
+    mutable flushes : int;
+    threshold : int option;
+  }
+
+  let create ~capacity ~threshold =
+    {
+      lru = [];
+      capacity = max 1 capacity;
+      pages = 0;
+      last_fault = -100;
+      hits = 0;
+      faults = 0;
+      seq_faults = 0;
+      flushes = 0;
+      threshold;
+    }
+
+  let dirty m = List.length (List.filter snd m.lru)
+
+  let rec enforce m =
+    if List.length m.lru > m.capacity then begin
+      match List.rev m.lru with
+      | (_, d) :: rest ->
+        if d then m.flushes <- m.flushes + 1;
+        m.lru <- List.rev rest;
+        enforce m
+      | [] -> ()
+    end
+
+  let flush m =
+    m.flushes <- m.flushes + dirty m;
+    m.lru <- List.map (fun (p, _) -> (p, false)) m.lru
+
+  let checkpoint m =
+    match m.threshold with Some t when dirty m >= t -> flush m | _ -> ()
+
+  let access m page ~write =
+    (match List.assoc_opt page m.lru with
+    | Some d ->
+      m.hits <- m.hits + 1;
+      m.lru <- (page, d || write) :: List.remove_assoc page m.lru
+    | None ->
+      m.faults <- m.faults + 1;
+      if page = m.last_fault + 1 || page = m.last_fault then m.seq_faults <- m.seq_faults + 1;
+      m.last_fault <- page;
+      m.lru <- (page, write) :: m.lru;
+      enforce m);
+    if write then checkpoint m
+
+  let allocate m =
+    m.lru <- (m.pages, true) :: m.lru;
+    m.pages <- m.pages + 1;
+    enforce m;
+    checkpoint m
+
+  let empty m =
+    m.lru <- [];
+    m.last_fault <- -100
+end
+
+type disk_op =
+  | Read of int
+  | Write of int
+  | Allocate
+  | Flush_all
+  | Evict_all
+  | Set_capacity of int
+  | Reopen
+
+let show_disk_op = function
+  | Read i -> Printf.sprintf "read %d" i
+  | Write i -> Printf.sprintf "write %d" i
+  | Allocate -> "allocate"
+  | Flush_all -> "flush_all"
+  | Evict_all -> "evict_all"
+  | Set_capacity c -> Printf.sprintf "set_capacity %d" c
+  | Reopen -> "reopen"
+
+let disk_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun i -> Read i) (int_bound 63));
+        (5, map (fun i -> Write i) (int_bound 63));
+        (3, return Allocate);
+        (1, return Flush_all);
+        (1, return Evict_all);
+        (1, map (fun c -> Set_capacity c) (int_range 1 10));
+        (1, return Reopen);
+      ])
+
+let prop_sim_disk_matches_lru_model =
+  QCheck.Test.make ~name:"pool matches a reference LRU" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, thr, ops) ->
+          Printf.sprintf "capacity %d, checkpoint %s: %s" cap
+            (match thr with None -> "-" | Some t -> string_of_int t)
+            (String.concat "; " (List.map show_disk_op ops)))
+        Gen.(
+          triple (int_range 1 6) (opt (int_range 1 5)) (list_size (int_range 1 120) disk_op_gen)))
+    (fun (capacity, threshold, ops) ->
+      (* Only seeks cost simulated time, so simulated_ns counts them. *)
+      let config =
+        {
+          Cost_model.record_access_ns = 0;
+          page_hit_ns = 0;
+          page_fault_ns = 0;
+          page_flush_ns = 0;
+          seek_penalty_ns = 1;
+        }
+      in
+      let d =
+        Sim_disk.create ~config ~page_size:16 ~pool_pages:capacity
+          ?checkpoint_dirty_pages:threshold ()
+      in
+      let m = Lru_model.create ~capacity ~threshold in
+      let agrees () =
+        let c = Cost_model.snapshot (Sim_disk.cost d) in
+        c.page_hits = m.hits && c.page_faults = m.faults
+        && c.simulated_ns = m.faults - m.seq_faults
+        && c.page_flushes = m.flushes
+        && Sim_disk.resident_pages d = List.length m.lru
+        && Sim_disk.dirty_pages d = Lru_model.dirty m
+      in
+      let step op =
+        (match op with
+        | (Read i | Write i) when m.pages = 0 -> ignore i
+        | Read i ->
+          let page = i mod m.pages in
+          Sim_disk.with_page_read d page ignore;
+          Lru_model.access m page ~write:false
+        | Write i ->
+          let page = i mod m.pages in
+          Sim_disk.with_page_write d page ignore;
+          Lru_model.access m page ~write:true
+        | Allocate ->
+          ignore (Sim_disk.allocate_page d : int);
+          Lru_model.allocate m
+        | Flush_all ->
+          Sim_disk.flush_all d;
+          Lru_model.flush m
+        | Evict_all ->
+          Sim_disk.evict_all d;
+          Lru_model.flush m;
+          Lru_model.empty m
+        | Set_capacity c ->
+          Sim_disk.set_pool_capacity d c;
+          m.capacity <- c;
+          Lru_model.enforce m
+        | Reopen ->
+          Sim_disk.reopen d;
+          Lru_model.empty m);
+        agrees ()
+      in
+      List.for_all step ops)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -305,6 +479,7 @@ let suite =
         Alcotest.test_case "shrink pool" `Quick test_shrink_pool;
         qtest prop_pool_never_exceeds_capacity;
         qtest prop_data_survives_any_access_pattern;
+        qtest prop_sim_disk_matches_lru_model;
       ] );
     ( "record-store",
       [

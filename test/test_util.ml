@@ -8,6 +8,7 @@ module Stats = Mgq_util.Stats
 module Text_table = Mgq_util.Text_table
 module Tsv = Mgq_util.Tsv
 module Json = Mgq_util.Json
+module Crc32 = Mgq_util.Crc32
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -589,9 +590,39 @@ let test_tsv_file_roundtrip () =
     (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
+(* Crc32                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Several domains released at once make the process's first digest
+   calls: each must get the digest a single domain computes. This
+   suite runs first so no earlier test has touched the checksum. *)
+let test_crc32_first_calls_from_domains () =
+  let inputs = Array.init 4 (fun i -> String.init (1000 + i) (fun j -> Char.chr ((i + j) land 0xFF))) in
+  let ready = Atomic.make 0 in
+  let workers =
+    Array.map
+      (fun s ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < Array.length inputs do
+              Domain.cpu_relax ()
+            done;
+            Crc32.digest s))
+      inputs
+  in
+  let concurrent = Array.map Domain.join workers in
+  check Alcotest.int32 "check value" 0xCBF43926l (Crc32.digest "123456789");
+  Array.iteri
+    (fun i s -> check Alcotest.int32 (Printf.sprintf "domain %d" i) (Crc32.digest s) concurrent.(i))
+    inputs
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
+    ( "crc32",
+      [ Alcotest.test_case "first calls from several domains" `Quick test_crc32_first_calls_from_domains ]
+    );
     ( "rng",
       [
         Alcotest.test_case "deterministic streams" `Quick test_rng_deterministic;
