@@ -14,9 +14,9 @@ let () =
   (* tx1: committed node 0 *)
   let n0 = Db.with_tx db (fun () -> Db.create_node db ~label:"User" Property.empty) in
   (* tx2: rolled back — consumes an allocation *)
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   let _n1 = Db.create_node db ~label:"User" Property.empty in
-  Db.rollback db;
+  Db.rollback_txn db txn;
   (* tx3: committed node (gets id 2 live) + edge to it *)
   let n2 = Db.with_tx db (fun () -> Db.create_node db ~label:"User" Property.empty) in
   ignore (Db.with_tx db (fun () -> Db.create_edge db ~etype:"F" ~src:n0 ~dst:n2 Property.empty));

@@ -64,11 +64,8 @@ let experiments =
     ( "chaos",
       ( "N1-N2: chaos harness (slow-client defence, composed fault campaign)",
         fun _env -> Bench_chaos.run_chaos () ) );
-    ( "shard",
-      ( "H1-H3: multicore sharded execution (speedup vs shards, skew, import)",
-        e Bench_shard.run_shard ) );
     ( "alloc",
-      ( "A1': minor-heap words per db hit, chain walk vs CSR segments",
+      ( "A1': minor-heap words per db hit on the packed read path",
         fun _env -> Bench_alloc.run_alloc () ) );
   ]
 

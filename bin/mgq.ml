@@ -1042,148 +1042,6 @@ let chaos_cmd =
   Cmd.v info
     Term.(const run $ seed $ users $ rate $ smoke $ no_failover $ report_file $ verbose)
 
-(* ---------------- sharded execution ---------------- *)
-
-let shard_cmd =
-  let module Exec = Mgq_shard.Exec in
-  let module Partition = Mgq_shard.Partition in
-  let module Sharded = Mgq_catalog.Sharded in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Shard (and domain) count.")
-  in
-  let users =
-    Arg.(
-      value & opt int 2000
-      & info [ "users"; "u" ] ~docv:"U" ~doc:"Users in the generated crawl.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
-  let skew =
-    Arg.(
-      value & opt int 0
-      & info [ "skew" ] ~docv:"K"
-          ~doc:
-            "Celebrity skew: pin the $(docv) highest-follower users onto shard 0 \
-             (0 = hash placement).")
-  in
-  let placement =
-    let parse s = Result.map_error (fun m -> `Msg m) (Partition.of_string s) in
-    let print ppf p = Format.pp_print_string ppf (Partition.name p) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Partition.Hash
-      & info [ "placement" ] ~docv:"P" ~doc:"Partitioner: $(b,hash) or $(b,modulo).")
-  in
-  let workload =
-    Arg.(
-      value & opt string "all"
-      & info [ "workload"; "w" ] ~docv:"IDS"
-          ~doc:"Comma-separated query ids (Q1.1 .. Q6.1), or $(b,all).")
-  in
-  let jitter =
-    Arg.(
-      value & opt int 0
-      & info [ "jitter" ] ~docv:"SEED"
-          ~doc:
-            "Stall workers pseudo-randomly before replying (scrambles completion \
-             order; results and simulated cost must not change).")
-  in
-  let run shards users seed skew placement workload jitter =
-    if shards < 1 then begin
-      Printf.eprintf "--shards must be at least 1\n";
-      exit 2
-    end;
-    let queries =
-      match workload with
-      | "all" -> Workload.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Workload.find (String.trim id) with
-            | Some q -> q
-            | None ->
-              Printf.eprintf "unknown query %s; known: %s\n" id
-                (String.concat ", " (List.map (fun q -> q.Workload.id) Workload.all));
-              exit 2)
-          (String.split_on_char ',' ids)
-    in
-    let dataset = Generator.generate (Generator.scaled ~seed ~n_users:users ()) in
-    let spec =
-      if skew = 0 then placement
-      else begin
-        let followers = Dataset.follower_counts dataset in
-        let idx = Array.init (Array.length followers) Fun.id in
-        Array.sort (fun a b -> compare followers.(b) followers.(a)) idx;
-        let hot = Array.to_list (Array.sub idx 0 (min skew (Array.length idx))) in
-        Partition.Pinned { hot; target = 0 }
-      end
-    in
-    (* The unsharded engine provides the oracle answers. *)
-    let neo = Contexts.build_neo dataset in
-    Printf.printf "sharding %d users across %d shard(s), placement %s\n%!" users shards
-      (Partition.name spec);
-    let mismatches = ref 0 in
-    Exec.with_exec ~spec ~jitter ~shards dataset (fun ex ->
-        Printf.printf "import: makespan %.1f sim ms (sum over shards %.1f)\n\n"
-          (Exec.import_makespan_ms ex) (Exec.import_total_ms ex);
-        Text_table.print
-          ~aligns:[ Text_table.Left; Right; Right; Right; Right; Right ]
-          ~header:[ "shard"; "owned"; "ghosts"; "replicas"; "local edges"; "cut edges" ]
-          (Sharded.to_table (Exec.sharded_stats ex));
-        let st = Exec.sharded_stats ex in
-        Printf.printf "cut ratio %.3f   imbalance %.2f\n\n" (Sharded.cut_ratio st)
-          (Sharded.imbalance st);
-        let args =
-          { Workload.uid = 0; uid2 = 1; tag = "topic0"; n = 10;
-            threshold = users / 100; max_hops = 3 }
-        in
-        let rows =
-          List.filter_map
-            (fun (q : Workload.query) ->
-              match Exec.run ex ~id:q.Workload.id args with
-              | None -> None
-              | Some got ->
-                let expected = q.Workload.run_neo_api neo args in
-                let ok = Results.equal expected got in
-                if not ok then incr mismatches;
-                let s = Exec.last_stats ex in
-                Some
-                  [
-                    q.Workload.id;
-                    (if ok then "ok" else "MISMATCH");
-                    string_of_int s.Exec.st_rounds;
-                    string_of_int s.Exec.st_tasks;
-                    Text_table.fmt_int s.Exec.st_db_hits;
-                    Text_table.fmt_int s.Exec.st_cut_hops;
-                    Printf.sprintf "%.3f" (float_of_int s.Exec.st_makespan_ns /. 1e6);
-                    Printf.sprintf "%.2fx"
-                      (float_of_int s.Exec.st_total_ns
-                      /. float_of_int (max 1 s.Exec.st_makespan_ns));
-                  ])
-            queries
-        in
-        Text_table.print
-          ~aligns:
-            [ Text_table.Left; Left; Right; Right; Right; Right; Right; Right ]
-          ~header:
-            [ "query"; "vs unsharded"; "rounds"; "tasks"; "db hits"; "cut hops";
-              "sim makespan ms"; "overlap" ]
-          rows;
-        Printf.printf "\npool steals: %d\n" (Exec.steals ex));
-    if !mismatches > 0 then begin
-      Printf.eprintf "%d quer%s differed from the unsharded engine\n" !mismatches
-        (if !mismatches = 1 then "y" else "ies");
-      exit 1
-    end
-  in
-  let info =
-    Cmd.info "shard"
-      ~doc:
-        "Partition the graph across worker domains and run the Table-2 workload through \
-         the scatter-gather executor, checking every answer against the unsharded \
-         engine. Exits non-zero on any mismatch."
-  in
-  Cmd.v info Term.(const run $ shards $ users $ seed $ skew $ placement $ workload $ jitter)
-
 (* ---------------- workload listing ---------------- *)
 
 let workload_cmd =
@@ -1437,7 +1295,6 @@ let main =
       workload_cmd;
       cluster_cmd;
       overload_cmd;
-      shard_cmd;
       metrics_cmd;
       audit_cmd;
     ]

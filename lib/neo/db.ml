@@ -156,10 +156,6 @@ type t = {
   commit_marks : (vkey, int) Hashtbl.t; (* key -> last commit ts *)
   mutable isolation : isolation;
   mutable track_reads : bool;
-  (* Reference arm for the allocation bench: read back through the
-     boxed pre-codec paths (get/get_record, int64 boxing, no CSR) so
-     the packed representation's saving is measurable in-process. *)
-  mutable boxed_reads : bool;
   (* Scratch for the packed property-chain walk ([Record_store.
      read_into]): one array reused across every step, so the walk
      itself allocates nothing. *)
@@ -206,7 +202,6 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
       commit_marks = Hashtbl.create 64;
       isolation = Snapshot;
       track_reads = false;
-      boxed_reads = false;
       prop_scratch = Array.make prop_fields 0;
     }
   in
@@ -215,7 +210,6 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
 
 let disk t = t.disk
 let cost t = Sim_disk.cost t.disk
-let set_boxed_reads t b = t.boxed_reads <- b
 let wal t = t.wal
 let last_lsn t = match t.wal with Some w -> Wal.last_lsn w | None -> 0
 
@@ -261,7 +255,7 @@ let describe_vkey t = function
   | K_nprop (id, k) -> Printf.sprintf "node %d.%s" id (Dict.name t.key_dict k)
   | K_eprop (id, k) -> Printf.sprintf "edge %d.%s" id (Dict.name t.key_dict k)
 
-let in_txn t = t.active <> None
+let in_tx t = t.active <> None
 let isolation t = t.isolation
 
 let set_isolation t mode =
@@ -405,7 +399,7 @@ let close_txn t txn =
   gc_versions t
 
 let rollback_txn t txn =
-  if not txn.tx_open then raise (Tx_error "Db.rollback: transaction is not open");
+  if not txn.tx_open then raise (Tx_error "Db.rollback_txn: transaction is not open");
   Obs.Counter.incr m_rollbacks;
   (* After a simulated crash the process is conceptually dead: no
      undo runs, recovery rebuilds from snapshot + WAL. Otherwise undo
@@ -427,7 +421,7 @@ let rollback_txn t txn =
   close_txn t txn
 
 let commit_txn t txn =
-  if not txn.tx_open then raise (Tx_error "Db.commit: transaction is not open");
+  if not txn.tx_open then raise (Tx_error "Db.commit_txn: transaction is not open");
   (* First-committer-wins validation over the write set. The eager
      claim in [claim_write] already fails most conflicts at write
      time; this is the authoritative check at the commit point. *)
@@ -504,37 +498,23 @@ let with_txn ?(retries = 0) t f =
   in
   attempt 0
 
-(* ---- legacy single-transaction API ---- *)
-
-let in_tx t = in_txn t
-
-let begin_tx t =
-  if t.open_txns <> [] then raise (Tx_error "Db.begin_tx: transaction already open");
-  ignore (begin_txn t : txn)
-
-let commit t =
-  match t.active with
-  | None -> raise (Tx_error "Db.commit: no open transaction")
-  | Some txn -> (
-    match commit_txn t txn with Ok () -> () | Error c -> raise (Tx_conflict c))
-
-let rollback t =
-  match t.active with
-  | None -> raise (Tx_error "Db.rollback: no open transaction")
-  | Some txn -> rollback_txn t txn
-
+(* One transaction around [f], rejected while any other is open: the
+   form imports, replication replay and Cypher writes use. *)
 let with_tx t f =
-  begin_tx t;
+  if t.open_txns <> [] then raise (Tx_error "Db.with_tx: transaction already open");
+  let txn = begin_txn t in
   let result =
     try f ()
     with e ->
-      rollback t;
+      if txn.tx_open then rollback_txn t txn;
       raise e
   in
-  (try commit t
-   with e ->
-     if in_tx t then rollback t;
-     raise e);
+  (match commit_txn t txn with
+  | Ok () -> ()
+  | Error c -> raise (Tx_conflict c)
+  | exception e ->
+    if txn.tx_open then rollback_txn t txn;
+    raise e);
   result
 
 (* Record a logical redo op. Inside a transaction it joins the
@@ -574,16 +554,12 @@ let atomic t f = Sim_disk.with_transients_suspended t.disk f
 let raw_node_exists t id =
   id >= 0
   && id < Record_store.count t.nodes
-  && (if t.boxed_reads then Record_store.get t.nodes ~id ~field:n_in_use
-      else Record_store.read1 t.nodes ~id ~field:n_in_use)
-     = 1
+  && Record_store.read1 t.nodes ~id ~field:n_in_use = 1
 
 let raw_edge_exists t id =
   id >= 0
   && id < Record_store.count t.rels
-  && (if t.boxed_reads then Record_store.get t.rels ~id ~field:r_in_use
-      else Record_store.read1 t.rels ~id ~field:r_in_use)
-     = 1
+  && Record_store.read1 t.rels ~id ~field:r_in_use = 1
 
 let existence = function B_absent -> false | B_present -> true | B_value _ -> false
 
@@ -622,22 +598,15 @@ let decode_value t ~tag ~payload =
   else failwith (Printf.sprintf "Db: corrupt property tag %d" tag)
 
 (* Find the property record for [key_id] in the chain starting at
-   [head]; None when absent. One packed read per chain record — same
-   db hits as the record-array read it replaces, without the array,
-   closure, and boxed-int64 allocations. *)
+   [head]; None when absent. One packed read (one db hit) per chain
+   record. *)
 let rec find_prop t head key_id =
   if head = nil then None
-  else if t.boxed_reads then begin
-    let r = Record_store.get_record t.props ~id:head in
-    if r.(p_key) = key_id then Some (head, r.(p_tag), r.(p_payload), r.(p_next))
-    else find_prop t r.(p_next) key_id
-  end
-  else begin
+  else
     let key, tag, payload, next =
       Record_store.read4 t.props ~id:head ~f0:p_key ~f1:p_tag ~f2:p_payload ~f3:p_next
     in
     if key = key_id then Some (head, tag, payload, next) else find_prop t next key_id
-  end
 
 let read_prop_chain t head =
   let rec collect acc head =
@@ -788,14 +757,7 @@ let rec prop_walk t key_id head =
    goes through the unboxed single-field path: same db hit, no
    intermediate allocation. *)
 let raw_prop t ~store ~owner ~head_field key_id =
-  if t.boxed_reads then begin
-    let head = Record_store.get store ~id:owner ~field:head_field in
-    match find_prop t head key_id with
-    | None -> Value.Null
-    | Some (_, tag, payload, _) -> decode_value t ~tag ~payload
-  end
-  else
-    prop_walk t key_id (Record_store.read1 store ~id:owner ~field:head_field)
+  prop_walk t key_id (Record_store.read1 store ~id:owner ~field:head_field)
 
 let prop_before = function B_value v -> v | B_absent | B_present -> Value.Null
 
@@ -1036,7 +998,7 @@ let chain_heads t node ?type_id ~out () =
    densification. *)
 let csr_for t id =
   match t.csr with
-  | Some c when (not t.boxed_reads) && (not (mvcc_read_needed t)) && Csr.covers c id -> Some c
+  | Some c when (not (mvcc_read_needed t)) && Csr.covers c id -> Some c
   | _ -> None
 
 (* Segment-backed expansion: one db hit for the run locate (the

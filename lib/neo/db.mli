@@ -100,14 +100,6 @@ val build_adjacency_segments : t -> unit
 val drop_adjacency_segments : t -> unit
 (** Discard the segments; every read goes back to the record chains. *)
 
-val set_boxed_reads : t -> bool -> unit
-(** [bench alloc]'s reference arm: when on, reads go through the
-    boxed pre-codec paths — [get]/[get_record] with per-field int64
-    boxing, record chains instead of CSR segments — so the packed
-    representation's allocation saving can be measured in the same
-    process. Results and db-hit accounting are unchanged; only the
-    allocation profile differs. Off by default. *)
-
 val has_adjacency_segments : t -> bool
 
 val adjacency_segment_bytes : t -> int
@@ -172,9 +164,8 @@ val property_keys : t -> string list
     Only one transaction {e executes} at a time (the engine is
     single-threaded); [Db] maintains any number of {e open}
     transactions, and a scheduler interleaves them by switching the
-    active one with {!activate}. The legacy [begin_tx]/[commit]/
-    [rollback]/[with_tx] API drives a single transaction and is
-    unchanged in behaviour.
+    active one with {!activate}. {!with_tx} wraps the common case of
+    one transaction at a time around a callback.
 
     Caveat (documented limitation): deletions by a {e concurrent}
     transaction are unlinked from relationship chains and label scans
@@ -184,7 +175,7 @@ val property_keys : t -> string list
     insert/update-only. *)
 
 exception Tx_error of string
-(** Transaction-API misuse: begin while a legacy transaction is open,
+(** Transaction-API misuse: {!with_tx} while a transaction is open,
     commit/rollback/activate of a closed transaction, save/checkpoint
     /analyze/set_isolation while transactions are open. *)
 
@@ -266,27 +257,16 @@ val set_read_tracking : t -> bool -> unit
 
 val open_txn_count : t -> int
 
-(** {2 Legacy single-transaction API} *)
-
-val begin_tx : t -> unit
-(** {!begin_txn}, restricted to one open transaction at a time.
-    @raise Tx_error when any transaction is already open. *)
-
-val commit : t -> unit
-(** {!commit_txn} on the active transaction.
-    @raise Tx_error when no transaction is open.
-    @raise Tx_conflict when first-committer-wins validation fails
-    (impossible when this is the only transaction). *)
-
-val rollback : t -> unit
-(** {!rollback_txn} on the active transaction.
-    @raise Tx_error when no transaction is open. *)
-
 val in_tx : t -> bool
+(** A transaction is active. *)
 
 val with_tx : t -> (unit -> 'a) -> 'a
-(** Run in a fresh transaction; commits on return, rolls back when the
-    callback raises (re-raising the exception). *)
+(** Run in a fresh transaction ({!begin_txn}); commits on return
+    ({!commit_txn}), rolls back when the callback raises (re-raising
+    the exception).
+    @raise Tx_error when any transaction is already open.
+    @raise Tx_conflict when first-committer-wins validation fails
+    (impossible when this is the only transaction). *)
 
 (** {1 Writes}
 

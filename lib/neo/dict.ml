@@ -1,18 +1,16 @@
-(* Domain discipline: one dictionary belongs to one database instance,
-   and every mutation of that instance happens on the domain that
-   drives it (each shard worker owns its shard's Db — see lib/shard).
-   [intern] enforces that single-writer rule with an assertion: the
-   first interning domain pins itself as the writer, and a later
-   intern of a new name from any other domain raises instead of
-   silently racing. [adopt_writer] re-pins explicitly when ownership
-   is handed over (e.g. a database built by a parallel-import domain
-   and mutated by the coordinator afterwards).
+(* Domain discipline: one dictionary belongs to one database instance.
+   Any domain may read it; one domain writes it. [intern] enforces
+   that single-writer rule with an assertion: the first interning
+   domain pins itself as the writer, and a later intern of a new name
+   from any other domain raises instead of silently racing.
+   [adopt_writer] re-pins explicitly when ownership is handed over (a
+   database built on one domain and mutated on another afterwards).
 
    Reads never lock: the writer publishes each new name as a fresh
    immutable snapshot through an [Atomic.t], and readers on any domain
-   (the scatter-gather read path) only ever see a published one. A new
-   name copies the table, which is cheap because token dictionaries
-   hold schema names: a handful of labels, types and property keys. *)
+   only ever see a published one. A new name copies the table, which
+   is cheap because token dictionaries hold schema names: a handful
+   of labels, types and property keys. *)
 
 module Tbl = Hashtbl.Make (String)
 

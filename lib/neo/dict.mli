@@ -5,9 +5,8 @@
     [Dict.t] serves one namespace. Ids are dense from 0 in creation
     order.
 
-    {b Concurrency}: lookups may come from any domain (the sharded
-    read path resolves tokens against databases owned by other
-    domains) and take no lock: each new name is published as a fresh
+    {b Concurrency}: any domain may read, and one domain writes.
+    Lookups take no lock: each new name is published as a fresh
     immutable snapshot, so a reader sees either the dictionary before
     a concurrent intern or after it, never a table mid-update.
     Mutation follows a single-writer discipline: the first interning
@@ -27,8 +26,8 @@ val intern : t -> string -> int
 
 val adopt_writer : t -> unit
 (** Re-pin the single-writer assertion to the calling domain — the
-    explicit handover for databases built by one domain (parallel
-    import) and mutated by another afterwards. *)
+    explicit handover for databases built by one domain and mutated
+    by another afterwards. *)
 
 val find : t -> string -> int option
 (** Id for an existing name; [None] when never interned. *)

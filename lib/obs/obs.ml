@@ -2,11 +2,10 @@ type labels = (string * string) list
 
 let canon (labels : labels) = List.sort compare labels
 
-(* Domain safety: shard execution (lib/shard) runs one domain per
-   graph shard, and every domain's storage layer reports into this
-   process-wide registry — store.db_hits is bumped on every record
-   access from every domain at once. Counters therefore use striped
-   atomics (a plain mutable int would drop increments under
+(* Domain safety: the registry is process-wide and any domain may
+   report into it — store.db_hits is bumped on every record access by
+   whichever domain drives that database. Counters therefore use
+   striped atomics (a plain mutable int would drop increments under
    concurrent read-modify-write), gauges and histograms take a
    per-metric mutex (their updates touch several fields), and the
    registry table itself is mutex-guarded so two domains registering
@@ -15,8 +14,8 @@ let canon (labels : labels) = List.sort compare labels
 
 module Counter = struct
   (* Striped to keep hot-path contention down: each domain picks a
-     stripe by its id, so concurrent [add]s from different shard
-     domains usually hit different atomics. [value] sums the stripes —
+     stripe by its id, so concurrent [add]s from different domains
+     usually hit different atomics. [value] sums the stripes —
      exact, since every increment lands in exactly one stripe. *)
   let stripes = 8
 
@@ -258,12 +257,12 @@ module Trace = struct
     mutable o_attrs : labels;
   }
 
-  (* The span stack models one logical request at a time; recording is
-     coordinator-side only (shard worker domains do not open spans —
-     they report through counters and task timings instead). [on] is
-     atomic so a worker's cheap enabled-check reads a coherent flag,
-     and the recording state below is guarded by [mu] so enabling
-     mid-flight from another thread cannot corrupt the stack. *)
+  (* The span stack models one logical request at a time, recorded by
+     the domain that serves it; other domains report through counters
+     only. [on] is atomic so any domain's cheap enabled-check reads a
+     coherent flag, and the recording state below is guarded by [mu]
+     so enabling mid-flight from another thread cannot corrupt the
+     stack. *)
   let on = Atomic.make false
   let mu = Mutex.create ()
   let tick = ref 0L

@@ -8,7 +8,7 @@
     tests can run on a tick counter.
 
     {b Domain safety}: the registry is shared by every domain in the
-    process (shard workers included — see [lib/shard]). Counters are
+    process, and any domain may report into it. Counters are
     striped atomics, so concurrent [Counter.add] from many domains
     loses no increments and [value] is exact once writers quiesce;
     gauges and histograms take a per-metric mutex; registration and

@@ -9,8 +9,7 @@
 
    Concurrency model: the socket layer runs a fixed worker pool, but
    the engine instances (Db, Cypher sessions, the trace collector) are
-   single-threaded by design — ROADMAP item 2 (multicore sharding) is
-   the PR that changes that. So [handle] serializes on one mutex:
+   single-threaded by design. So [handle] serializes on one mutex:
    parsing and socket I/O overlap across workers, engine time does
    not. Admission still bounds how much work is admitted per second;
    the mutex bounds how it executes. *)

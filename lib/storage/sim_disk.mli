@@ -15,8 +15,7 @@
     {b Concurrency}: a disk belongs to one domain. Every access, reads
     included, updates the pool's LRU order and the cost counters
     without synchronisation, so a disk must only be driven by the
-    domain that owns its database (each shard worker owns its shard's
-    disk). *)
+    domain that owns its database. *)
 
 type t
 

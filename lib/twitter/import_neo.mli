@@ -11,23 +11,6 @@ val default_checkpoint_pages : int
 (** Checkpoint threshold that makes a database reproduce Figure 2's
     flush jumps (pass to {!Mgq_neo.Db.create}). *)
 
-val sim_ms : Mgq_neo.Db.t -> float
-(** Cumulative simulated milliseconds charged on the database's disk —
-    the series' cost axis. *)
-
-val batched :
-  Mgq_neo.Db.t ->
-  label:string ->
-  batch:int ->
-  total:int ->
-  (int -> unit) ->
-  Import_report.series
-(** [batched db ~label ~batch ~total f] runs [f i] for i in
-    [0, total), emitting one {!Import_report.point} per [batch]
-    completed items — shared by the single-store importer below and
-    the per-shard importer ([lib/shard]), so their series are
-    comparable. *)
-
 type tweet_placement =
   | By_author  (** tweets of one author stored contiguously (default) *)
   | Shuffled of int

@@ -71,11 +71,11 @@ let random_write_sequence seed n_ops =
     if Rng.int rng 6 = 0 then begin
       (* A rolled-back transaction must leave no trace in the stats. *)
       let saved_nodes = !nodes and saved_edges = !edges in
-      Db.begin_tx db;
+      let txn = Db.begin_txn db in
       for _ = 1 to 3 do
         apply_random ()
       done;
-      Db.rollback db;
+      Db.rollback_txn db txn;
       nodes := saved_nodes;
       edges := saved_edges
     end

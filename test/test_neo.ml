@@ -234,16 +234,16 @@ let test_index_missing_raises () =
 
 let test_tx_commit () =
   let db = Db.create () in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   let n = Db.create_node db ~label:"user" (props [ ("uid", Value.Int 1) ]) in
-  Db.commit db;
+  Result.get_ok (Db.commit_txn db txn);
   check Alcotest.bool "persisted" true (Db.node_exists db n)
 
 let test_tx_rollback_create_node () =
   let db = Db.create () in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   let n = Db.create_node db ~label:"user" (props [ ("uid", Value.Int 1) ]) in
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.bool "node gone" false (Db.node_exists db n);
   check Alcotest.int "count restored" 0 (Db.node_count db);
   check Alcotest.int "label scan restored" 0 (Db.label_count db "user")
@@ -252,9 +252,9 @@ let test_tx_rollback_create_edge () =
   let db = Db.create () in
   let a = Db.create_node db ~label:"user" no_props in
   let b = Db.create_node db ~label:"user" no_props in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   let e = Db.create_edge db ~etype:"follows" ~src:a ~dst:b no_props in
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.bool "edge gone" false (Db.edge_exists db e);
   check Alcotest.int "degree restored" 0 (Db.out_degree db a);
   check Alcotest.int "edge count" 0 (Db.edge_count db);
@@ -263,10 +263,10 @@ let test_tx_rollback_create_edge () =
 let test_tx_rollback_set_property () =
   let db = Db.create () in
   let n = Db.create_node db ~label:"user" (props [ ("uid", Value.Int 1) ]) in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   Db.set_node_property db n "uid" (Value.Int 99);
   Db.set_node_property db n "bio" (Value.Str "x");
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check value_testable "uid restored" (Value.Int 1) (Db.node_property db n "uid");
   check value_testable "bio gone" Value.Null (Db.node_property db n "bio")
 
@@ -274,9 +274,9 @@ let test_tx_rollback_delete_edge () =
   let db, u0, u1, _, _ = small_graph () in
   let edges = List.of_seq (Db.edges_of db u0 ~etype:"follows" Types.Out) in
   let target = List.find (fun (e : Types.edge) -> e.dst = u1) edges in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   Db.delete_edge db target.Types.id;
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.bool "edge restored" true (Db.edge_exists db target.Types.id);
   check Alcotest.int "degree restored" 3 (Db.out_degree db u0);
   let neighbors = List.sort compare (List.of_seq (Db.neighbors db u0 ~etype:"follows" Types.Out)) in
@@ -286,9 +286,9 @@ let test_tx_rollback_index_sync () =
   let db = Db.create () in
   Db.create_index db ~label:"user" ~property:"uid";
   let n = Db.create_node db ~label:"user" (props [ ("uid", Value.Int 7) ]) in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   Db.set_node_property db n "uid" (Value.Int 8);
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.(list int) "index restored" [ n ]
     (Db.index_lookup db ~label:"user" ~property:"uid" (Value.Int 7));
   check Alcotest.(list int) "phantom cleared" []
@@ -346,11 +346,11 @@ let test_rollback_of_densify_node () =
   let before =
     List.sort compare (List.of_seq (Db.neighbors db u0 ~etype:"follows" Types.Out))
   in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   Db.densify_node db u0;
   let extra = Db.create_node db ~label:"user" no_props in
   ignore (Db.create_edge db ~etype:"follows" ~src:u0 ~dst:extra no_props);
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.bool "conversion persists" true (Db.is_dense_node db u0);
   check Alcotest.int "degree restored" 3 (Db.out_degree db u0);
   check Alcotest.(list int) "neighbors restored" before
@@ -358,13 +358,13 @@ let test_rollback_of_densify_node () =
 
 let test_nested_tx_rejected () =
   let db = Db.create () in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   check Alcotest.bool "nested rejected" true
     (try
-       Db.begin_tx db;
+       Db.with_tx db ignore;
        false
      with Db.Tx_error _ -> true);
-  Db.rollback db
+  Db.rollback_txn db txn
 
 (* ------------------------------------------------------------------ *)
 (* Cost accounting                                                     *)
@@ -665,7 +665,7 @@ let prop_rollback_restores_counts =
       let db, nodes = random_graph seed 10 20 in
       let before_nodes = Db.node_count db and before_edges = Db.edge_count db in
       let rng = Rng.create (seed + 3) in
-      Db.begin_tx db;
+      let txn = Db.begin_txn db in
       for _ = 1 to ops do
         match Rng.int rng 3 with
         | 0 -> ignore (Db.create_node db ~label:"user" no_props)
@@ -679,7 +679,7 @@ let prop_rollback_restores_counts =
           | e :: _ -> Db.delete_edge db e.Types.id
           | [] -> ())
       done;
-      Db.rollback db;
+      Db.rollback_txn db txn;
       Db.node_count db = before_nodes && Db.edge_count db = before_edges)
 
 (* ------------------------------------------------------------------ *)
@@ -762,13 +762,13 @@ let test_dense_rollback_across_densification () =
   let hub = Db.create_node db ~label:"user" no_props in
   let a = Db.create_node db ~label:"user" no_props in
   ignore (Db.create_edge db ~etype:"follows" ~src:hub ~dst:a no_props);
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   for _ = 1 to 8 do
     let s = Db.create_node db ~label:"user" no_props in
     ignore (Db.create_edge db ~etype:"follows" ~src:hub ~dst:s no_props)
   done;
   check Alcotest.bool "densified inside tx" true (Db.is_dense_node db hub);
-  Db.rollback db;
+  Db.rollback_txn db txn;
   check Alcotest.int "only the pre-tx edge remains" 1 (Db.out_degree db hub);
   check Alcotest.(list int) "neighbor set restored" [ a ]
     (List.of_seq (Db.neighbors db hub Types.Out));
@@ -841,13 +841,13 @@ let test_save_load_roundtrip () =
 
 let test_save_rejects_open_tx () =
   let db, _, _, _, _ = small_graph () in
-  Db.begin_tx db;
+  let txn = Db.begin_txn db in
   check Alcotest.bool "refused" true
     (try
        Db.save db "/tmp/should_not_exist.neo";
        false
      with Db.Tx_error _ -> true);
-  Db.rollback db
+  Db.rollback_txn db txn
 
 let rejects_load what path =
   check Alcotest.bool what true
@@ -903,6 +903,7 @@ let test_load_rejects_corruption () =
   let reloaded = Db.load path in
   check Alcotest.int "intact loads" 1 (Db.node_count reloaded);
   Sys.remove path
+
 
 (* ------------------------------------------------------------------ *)
 

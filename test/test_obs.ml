@@ -1,5 +1,6 @@
 (* Tests for the observability layer: metrics registry semantics,
-   trace spans, and the end-to-end wiring through the request path. *)
+   trace spans, the end-to-end wiring through the request path, and
+   exact counters under concurrent domains. *)
 
 module Obs = Mgq_obs.Obs
 module Generator = Mgq_twitter.Generator
@@ -354,6 +355,24 @@ let test_metrics_shed_and_breaker () =
   check Alcotest.int "open rejected once" 1 (counter "breaker.rejections")
 
 (* ------------------------------------------------------------------ *)
+(* Domain safety                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_obs_counter_parallel_exact () =
+  let r = Obs.Registry.create () in
+  let c = Obs.Registry.counter r "hammer.count" in
+  let per_domain = 20_000 and domains = 4 in
+  let workers =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per_domain do
+              Obs.Counter.incr c
+            done))
+  in
+  List.iter Domain.join workers;
+  check Alcotest.int "no lost increments" (domains * per_domain) (Obs.Counter.value c)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -383,6 +402,11 @@ let suite =
         Alcotest.test_case "plan-cache and store counters" `Quick
           test_metrics_plan_cache_and_store;
         Alcotest.test_case "shed and breaker counters" `Quick test_metrics_shed_and_breaker;
+      ] );
+    ( "domain-safety",
+      [
+        Alcotest.test_case "metrics counter exact under domains" `Quick
+          test_obs_counter_parallel_exact;
       ] );
   ]
 
