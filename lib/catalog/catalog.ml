@@ -21,6 +21,18 @@ let n_buckets = 62
 
 type dstats = { mutable d_edges : int; d_buckets : int array }
 
+(* Value counts of one (label, key) property: exact, so incremental
+   and rebuilt stats can agree bit-for-bit. [p_rows] is the running
+   total of the counts; [p_sketch] memoises the top-[sketch_size]
+   values until the next count change. *)
+type pstats = {
+  p_counts : (Value.t, int ref) Hashtbl.t;
+  mutable p_rows : int;
+  mutable p_sketch : (Value.t * int) list option;
+}
+
+let sketch_size = 10
+
 type t = {
   mutable epoch : int;
   mutable rebuilding : bool;
@@ -32,9 +44,8 @@ type t = {
   node_deg : (int * string * bool, int ref) Hashtbl.t;
   (* (src_label, etype, out) -> degree histogram *)
   deg : (string * string * bool, dstats) Hashtbl.t;
-  (* (label, key) -> value -> count; exact, so incremental and rebuilt
-     stats can agree bit-for-bit. distinct = table size, MCV = top-k. *)
-  props : (string * string, (Value.t, int ref) Hashtbl.t) Hashtbl.t;
+  (* (label, key) -> value counts; distinct = table size, MCV = top-k. *)
+  props : (string * string, pstats) Hashtbl.t;
   (* (etype, src_label, dst_label) -> edge count *)
   endpoints : (string * string * string, int ref) Hashtbl.t;
 }
@@ -114,17 +125,27 @@ let bump_degree t ~node ~label ~etype ~out delta =
 let prop_bump t ~label ~key value delta =
   if value <> Value.Null then begin
     let pkey = (label, key) in
-    let tbl =
+    let p =
       match Hashtbl.find_opt t.props pkey with
-      | Some tbl -> tbl
+      | Some p -> p
       | None ->
-        let tbl = Hashtbl.create 64 in
-        Hashtbl.replace t.props pkey tbl;
+        let p = { p_counts = Hashtbl.create 64; p_rows = 0; p_sketch = None } in
+        Hashtbl.replace t.props pkey p;
         shape_changed t;
-        tbl
+        p
     in
-    bump_count tbl value delta ~on_new:(fun () -> ());
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.props pkey
+    (match Hashtbl.find_opt p.p_counts value with
+    | Some r ->
+      let n = max 0 (!r + delta) in
+      p.p_rows <- p.p_rows + n - !r;
+      if n = 0 then Hashtbl.remove p.p_counts value else r := n
+    | None ->
+      if delta > 0 then begin
+        Hashtbl.replace p.p_counts value (ref delta);
+        p.p_rows <- p.p_rows + delta
+      end);
+    if Option.is_some p.p_sketch then p.p_sketch <- None;
+    if Hashtbl.length p.p_counts = 0 then Hashtbl.remove t.props pkey
   end
 
 (* ---------------- event application ---------------- *)
@@ -191,22 +212,32 @@ let labels t =
 let prop_table t ~label ~key = Hashtbl.find_opt t.props (label, key)
 
 let distinct_count t ~label ~key =
-  match prop_table t ~label ~key with Some tbl -> Hashtbl.length tbl | None -> 0
+  match prop_table t ~label ~key with Some p -> Hashtbl.length p.p_counts | None -> 0
 
 let prop_rows t ~label ~key =
-  match prop_table t ~label ~key with
-  | Some tbl -> Hashtbl.fold (fun _ r acc -> acc + !r) tbl 0
-  | None -> 0
+  match prop_table t ~label ~key with Some p -> p.p_rows | None -> 0
 
-let mcv t ?(k = 10) ~label ~key () =
+(* Count-descending, ties by the smaller value: Topn's order. *)
+let top_values p k =
+  let top = Mgq_util.Topn.create k in
+  Hashtbl.iter (fun v r -> Mgq_util.Topn.add top ~key:v ~score:!r ~value:()) p.p_counts;
+  List.map (fun (v, c, ()) -> (v, c)) (Mgq_util.Topn.to_list top)
+
+let sketch p =
+  match p.p_sketch with
+  | Some s -> s
+  | None ->
+    let s = top_values p sketch_size in
+    p.p_sketch <- Some s;
+    s
+
+let mcv t ?(k = sketch_size) ~label ~key () =
   match prop_table t ~label ~key with
   | None -> []
-  | Some tbl ->
-    let all = Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] in
-    let sorted =
-      List.sort (fun (va, ca) (vb, cb) -> if ca <> cb then compare cb ca else compare va vb) all
-    in
-    List.filteri (fun i _ -> i < k) sorted
+  | Some p ->
+    if k = sketch_size then sketch p
+    else if k < sketch_size then List.filteri (fun i _ -> i < k) (sketch p)
+    else top_values p k
 
 let eq_rows t ~label ~key value =
   let n = prop_rows t ~label ~key and d = distinct_count t ~label ~key in
@@ -312,14 +343,13 @@ let dump t =
            |> String.concat ","
          in
          line "degree %s/%s/%s edges=%d buckets=[%s]" l ty (dir_name out) ds.d_edges buckets);
-  Hashtbl.fold (fun key tbl acc -> (key, tbl) :: acc) t.props []
+  Hashtbl.fold (fun key p acc -> (key, p) :: acc) t.props []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((l, k), tbl) ->
+  |> List.iter (fun ((l, k), p) ->
          let values =
-           Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] |> List.sort compare
+           Hashtbl.fold (fun v r acc -> (v, !r) :: acc) p.p_counts [] |> List.sort compare
          in
-         line "prop %s.%s distinct=%d rows=%d" l k (Hashtbl.length tbl)
-           (List.fold_left (fun acc (_, c) -> acc + c) 0 values);
+         line "prop %s.%s distinct=%d rows=%d" l k (Hashtbl.length p.p_counts) p.p_rows;
          List.iter
            (fun (v, c) -> line "  value %s %s = %d" (Value.type_name v) (Value.to_display v) c)
            values);

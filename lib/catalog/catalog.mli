@@ -71,11 +71,15 @@ val distinct_count : t -> label:string -> key:string -> int
 (** Distinct values of [key] over nodes labelled [label]. *)
 
 val prop_rows : t -> label:string -> key:string -> int
-(** Nodes labelled [label] with [key] set (non-null). *)
+(** Nodes labelled [label] with [key] set (non-null): a running total,
+    O(1). *)
 
 val mcv : t -> ?k:int -> label:string -> key:string -> unit -> (Value.t * int) list
-(** Most-common values, count-descending; the sketch the equality
-    estimator consults before falling back to the uniform tail. *)
+(** Most-common values, count-descending, ties by the smaller value;
+    the sketch the equality estimator consults before falling back to
+    the uniform tail. The top 10 are memoised: with the default [k]
+    the same list is returned until the next write to this
+    (label, key). *)
 
 val eq_rows : t -> label:string -> key:string -> Value.t option -> float
 (** Expected nodes matching [label].[key] = v. [Some v] uses the MCV

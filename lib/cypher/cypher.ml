@@ -12,6 +12,7 @@ type planner = Heuristic | Cost_based
 
 type cached_plan = {
   plan : Plan.t;
+  program : Executor.compiled;
   profile_requested : bool;
   explain : Ast.explain_mode;
   epoch : int;  (** stats epoch the plan was compiled against *)
@@ -58,6 +59,7 @@ let compile_fresh t text =
       in
       {
         plan;
+        program = Executor.compile plan;
         profile_requested = ast.Ast.profile;
         explain = ast.Ast.explain;
         epoch = Db.stats_epoch t.db;
@@ -150,7 +152,7 @@ let string_rows lines =
 (* ------------------------------------------------------------------ *)
 
 let execute_cached ?budget ~params t cached ~profile =
-  let execute () = Executor.run ?budget t.db ~params ~profile cached.plan in
+  let execute () = Executor.run ?budget t.db ~params ~profile cached.program in
   try
     (* Writes run transactionally so a failing statement leaves the
        store untouched. *)

@@ -1,10 +1,14 @@
 (** Physical plan execution.
 
-    Operators run eagerly, one at a time, over materialised row lists;
-    this makes per-operator profiling exact: the rows produced and the
-    db hits charged by each operator are measured around its whole
+    A plan is compiled once, when it enters the plan cache: variables
+    become integer slots of an [item array] row, expressions become
+    closures, and parameters are resolved once per run. Operators then
+    run eagerly, one at a time, over materialised row lists; this
+    makes per-operator profiling exact: the rows produced and the db
+    hits charged by each operator are measured around its whole
     evaluation, which is what Cypher's PROFILE reports and what the
-    paper used to compare query phrasings. *)
+    paper used to compare query phrasings. It also fixes the order of
+    store accesses to the plan's operator order. *)
 
 type profile_entry = {
   name : string;  (** operator name, e.g. "Expand(All)" *)
@@ -32,15 +36,21 @@ type result = {
 
 exception Exec_error of string
 
+type compiled
+(** A plan resolved to slots and closures; reusable across runs and
+    parameter sets. *)
+
+val compile : Plan.t -> compiled
+
 val run :
   ?budget:Mgq_util.Budget.t ->
   Mgq_neo.Db.t ->
   params:Runtime.params ->
   profile:bool ->
-  Plan.t ->
+  compiled ->
   result
-(** Execute a plan. With [budget], the whole evaluation runs under it:
-    every db hit charges a hit and simulated time, and crossing a
+(** Execute a compiled plan. With [budget], the whole evaluation runs
+    under it: every db hit charges a hit and simulated time, and crossing a
     ceiling raises {!Mgq_util.Budget.Exhausted} (rolling back any
     write operators executed so far when called inside a
     transaction). *)

@@ -393,37 +393,36 @@ let cypher t ~conn_id req =
   with_admission t ~cls @@ fun () ->
   let session = Cluster.session t.cluster conn_id in
   match
-    (* Compile once against the primary's session to type the query as
-       read-only before any replica executes it. *)
-    let plan =
-      try Cypher.plan_of (session_for t (Cluster.primary t.cluster)) text
-      with Cypher.Query_error msg -> bad_request msg
-    in
-    if Plan.has_writes plan then
-      raise (Reply (error_json ~status:400 "read-only endpoint: the query contains writes"));
-    (* Deadline exhaustion is caught inside the guarded closure so the
-       breaker records a serve, not a spurious replica fault. *)
+    (* The routed session compiles the text once: its plan types the
+       query as read-only before it runs. Deadline exhaustion is caught
+       inside the guarded closure so the breaker records a serve, not a
+       spurious replica fault. *)
     Guard.read t.guard ?budget ~session (fun db ->
-        match Cypher.run ?budget (session_for t db) ~params text with
-        | result ->
-          `Rows
-            (Json.Obj
-               [
-                 ("columns", Json.Arr (List.map (fun c -> Json.Str c) result.Cypher.columns));
-                 ( "rows",
-                   Json.Arr
-                     (List.map
-                        (fun row -> Json.Arr (List.map value_to_json row))
-                        (Cypher.value_rows result)) );
-                 ("row_count", Json.Int (List.length result.Cypher.rows));
-               ])
-        | exception Mgq_util.Budget.Exhausted _ -> `Deadline
-        | exception Cypher.Query_error msg -> `Query_error msg)
+        let s = session_for t db in
+        match Cypher.plan_of s text with
+        | exception Cypher.Query_error msg -> `Query_error msg
+        | plan when Plan.has_writes plan -> `Writes
+        | _ -> (
+          match Cypher.run ?budget s ~params text with
+          | result ->
+            `Rows
+              (Json.Obj
+                 [
+                   ("columns", Json.Arr (List.map (fun c -> Json.Str c) result.Cypher.columns));
+                   ( "rows",
+                     Json.Arr
+                       (List.map
+                          (fun row -> Json.Arr (List.map value_to_json row))
+                          (Cypher.value_rows result)) );
+                   ("row_count", Json.Int (List.length result.Cypher.rows));
+                 ])
+          | exception Mgq_util.Budget.Exhausted _ -> `Deadline
+          | exception Cypher.Query_error msg -> `Query_error msg))
   with
   | `Rows json -> Http.json_response ~status:200 json
+  | `Writes -> error_json ~status:400 "read-only endpoint: the query contains writes"
   | `Query_error msg -> error_json ~status:400 msg
   | `Deadline -> error_json ~status:504 "deadline exceeded before the query completed"
-  | exception Cypher.Query_error msg -> error_json ~status:400 msg
 
 let explain t req =
   match Http.query_param "q" req with

@@ -366,6 +366,203 @@ let test_typed_degree_constant_hits () =
   check Alcotest.int "hits at fan 1600 = hits at fan 100" h100 h1600
 
 (* ------------------------------------------------------------------ *)
+(* Property sketch: running totals and the memoised MCV list           *)
+(* ------------------------------------------------------------------ *)
+
+(* The property statistics as a fold-and-sort over exact value counts:
+   the catalog's running totals and memoised sketch must agree with it
+   after any event sequence. *)
+module Ref_props = struct
+  type t = {
+    labels : (int, string) Hashtbl.t;
+    counts : (string * string, (Value.t, int) Hashtbl.t) Hashtbl.t;
+  }
+
+  let create () = { labels = Hashtbl.create 16; counts = Hashtbl.create 16 }
+
+  let table r ~label ~key =
+    match Hashtbl.find_opt r.counts (label, key) with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 8 in
+      Hashtbl.replace r.counts (label, key) tbl;
+      tbl
+
+  let bump r ~label ~key v delta =
+    if v <> Value.Null then begin
+      let tbl = table r ~label ~key in
+      match Hashtbl.find_opt tbl v with
+      | Some c -> if c + delta <= 0 then Hashtbl.remove tbl v else Hashtbl.replace tbl v (c + delta)
+      | None -> if delta > 0 then Hashtbl.replace tbl v delta
+    end
+
+  let label_of r node = Option.value ~default:"?" (Hashtbl.find_opt r.labels node)
+
+  let apply r (event : Catalog.event) =
+    match event with
+    | Catalog.Node_added { node; label; props } ->
+      Hashtbl.replace r.labels node label;
+      List.iter (fun (key, v) -> bump r ~label ~key v 1) props
+    | Catalog.Node_removed { node; props } ->
+      let label = label_of r node in
+      Hashtbl.remove r.labels node;
+      List.iter (fun (key, v) -> bump r ~label ~key v (-1)) props
+    | Catalog.Prop_set { node; key; old_v; new_v } ->
+      let label = label_of r node in
+      bump r ~label ~key old_v (-1);
+      bump r ~label ~key new_v 1
+    | Catalog.Edge_added _ | Catalog.Edge_removed _ -> ()
+
+  let values r ~label ~key = Hashtbl.fold (fun v c acc -> (v, c) :: acc) (table r ~label ~key) []
+  let rows r ~label ~key = List.fold_left (fun acc (_, c) -> acc + c) 0 (values r ~label ~key)
+  let distinct r ~label ~key = List.length (values r ~label ~key)
+
+  let mcv r ~k ~label ~key =
+    values r ~label ~key
+    |> List.sort (fun (va, ca) (vb, cb) -> if ca <> cb then compare cb ca else compare va vb)
+    |> List.filteri (fun i _ -> i < k)
+
+  let eq_rows r ~label ~key value =
+    let n = rows r ~label ~key and d = distinct r ~label ~key in
+    if d = 0 then 0.
+    else
+      match value with
+      | None -> float_of_int n /. float_of_int d
+      | Some v -> (
+        let sketch = mcv r ~k:10 ~label ~key in
+        match List.assoc_opt v sketch with
+        | Some c -> float_of_int c
+        | None ->
+          let mass = List.fold_left (fun acc (_, c) -> acc + c) 0 sketch in
+          let tail = d - List.length sketch in
+          if tail <= 0 then 0. else float_of_int (n - mass) /. float_of_int tail)
+end
+
+type sketch_op = Event of Catalog.event | Rebuild
+
+let sketch_value = function
+  | 0 -> Value.Null
+  | i when i <= 9 -> Value.Int i
+  | i -> Value.Str (String.make 1 (Char.chr (Char.code 'a' + i - 10)))
+
+(* Small node, label and value domains, so values repeat, counts tie
+   and removals often name values the node never had. *)
+let gen_sketch_op =
+  let open QCheck.Gen in
+  let node = int_bound 11 and value = map sketch_value (int_bound 12) in
+  let key = oneofl [ "k"; "j" ] in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun node label (v, w) ->
+            Event (Catalog.Node_added { node; label; props = [ ("k", v); ("j", w) ] }))
+          node (oneofl [ "a"; "b" ]) (pair value value) );
+      (2, map2 (fun node v -> Event (Catalog.Node_removed { node; props = [ ("k", v) ] })) node value);
+      ( 4,
+        map3
+          (fun node key (old_v, new_v) -> Event (Catalog.Prop_set { node; key; old_v; new_v }))
+          node key (pair value value) );
+      (1, return Rebuild);
+    ]
+
+let print_sketch_op = function
+  | Rebuild -> "rebuild"
+  | Event (Catalog.Node_added { node; label; props }) ->
+    Printf.sprintf "add %d:%s %s" node label
+      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ Value.to_display v) props))
+  | Event (Catalog.Node_removed { node; props }) ->
+    Printf.sprintf "remove %d %s" node
+      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ Value.to_display v) props))
+  | Event (Catalog.Prop_set { node; key; old_v; new_v }) ->
+    Printf.sprintf "set %d.%s %s->%s" node key (Value.to_display old_v) (Value.to_display new_v)
+  | Event _ -> "edge"
+
+(* Replays [ops] into a catalog and the reference; a rebuild replaces
+   both from the live nodes as a model tracks them. *)
+let sketch_mismatch ops =
+  let cat = Catalog.create () and r = ref (Ref_props.create ()) in
+  let live = Hashtbl.create 16 in
+  let track = function
+    | Catalog.Node_added { node; label; props } -> Hashtbl.replace live node (label, props)
+    | Catalog.Node_removed { node; _ } -> Hashtbl.remove live node
+    | Catalog.Prop_set { node; key; new_v; _ } -> (
+      match Hashtbl.find_opt live node with
+      | Some (label, props) ->
+        Hashtbl.replace live node (label, (key, new_v) :: List.remove_assoc key props)
+      | None -> ())
+    | Catalog.Edge_added _ | Catalog.Edge_removed _ -> ()
+  in
+  let check_all () =
+    List.find_map
+      (fun (label, key) ->
+        let expect name a b = if a = b then None else Some (Printf.sprintf "%s %s.%s" name label key) in
+        let top = match Ref_props.mcv !r ~k:1 ~label ~key with (v, _) :: _ -> Some v | [] -> None in
+        List.find_map Fun.id
+          [
+            expect "prop_rows" (Ref_props.rows !r ~label ~key) (Catalog.prop_rows cat ~label ~key);
+            expect "distinct_count" (Ref_props.distinct !r ~label ~key)
+              (Catalog.distinct_count cat ~label ~key);
+            expect "mcv k=3" (Ref_props.mcv !r ~k:3 ~label ~key) (Catalog.mcv cat ~k:3 ~label ~key ());
+            expect "mcv k=10" (Ref_props.mcv !r ~k:10 ~label ~key)
+              (Catalog.mcv cat ~k:10 ~label ~key ());
+            expect "eq_rows known" (Ref_props.eq_rows !r ~label ~key top)
+              (Catalog.eq_rows cat ~label ~key top);
+            expect "eq_rows unknown"
+              (Ref_props.eq_rows !r ~label ~key (Some (Value.Int 99)))
+              (Catalog.eq_rows cat ~label ~key (Some (Value.Int 99)));
+            expect "eq_rows None" (Ref_props.eq_rows !r ~label ~key None)
+              (Catalog.eq_rows cat ~label ~key None);
+          ])
+      [ ("a", "k"); ("a", "j"); ("b", "k"); ("b", "j"); ("?", "k"); ("?", "j") ]
+  in
+  List.find_map
+    (fun op ->
+      (match op with
+      | Event e ->
+        Catalog.apply cat e;
+        Ref_props.apply !r e;
+        track e
+      | Rebuild ->
+        let nodes =
+          Hashtbl.fold (fun node (label, props) acc -> (node, label, props) :: acc) live []
+          |> List.sort compare
+        in
+        Catalog.rebuild cat ~nodes:(List.to_seq nodes) ~edges:Seq.empty;
+        r := Ref_props.create ();
+        List.iter
+          (fun (node, label, props) -> Ref_props.apply !r (Catalog.Node_added { node; label; props }))
+          nodes);
+      Option.map (fun what -> what ^ " after " ^ print_sketch_op op) (check_all ()))
+    ops
+
+let prop_sketch_matches_reference =
+  QCheck.Test.make ~name:"running totals and MCV sketch = fold-and-sort" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_sketch_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) gen_sketch_op))
+    (fun ops ->
+      match sketch_mismatch ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+let test_sketch_memoised () =
+  let cat = Catalog.create () in
+  for node = 0 to 20 do
+    Catalog.apply cat
+      (Catalog.Node_added { node; label = "user"; props = [ ("uid", Value.Int (node mod 7)) ] })
+  done;
+  let first = Catalog.mcv cat ~label:"user" ~key:"uid" () in
+  check Alcotest.bool "unchanged catalog: same list" true
+    (first == Catalog.mcv cat ~label:"user" ~key:"uid" ());
+  Catalog.apply cat
+    (Catalog.Prop_set { node = 0; key = "uid"; old_v = Value.Int 0; new_v = Value.Int 1 });
+  let after = Catalog.mcv cat ~label:"user" ~key:"uid" () in
+  check Alcotest.bool "Prop_set invalidates" false (first == after);
+  check Alcotest.int "new top count" 4 (snd (List.hd after))
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -398,6 +595,11 @@ let suite =
       [
         Alcotest.test_case "typed degree O(1) on dense nodes" `Quick
           test_typed_degree_constant_hits;
+      ] );
+    ( "sketch",
+      [
+        qtest prop_sketch_matches_reference;
+        Alcotest.test_case "MCV list memoised until a write" `Quick test_sketch_memoised;
       ] );
   ]
 

@@ -329,6 +329,27 @@ let test_e2e_cypher () =
       let status, _, _ = request port ~meth:"POST" ~target:"/cypher" ~body:"{oops" () in
       check Alcotest.int "bad JSON body" 400 status)
 
+(* A spliced text misses every plan cache: the routed session compiles
+   it once, and that plan also types the query as read-only. Round
+   robin sends one of two consecutive reads to the replica. *)
+let test_e2e_spliced_compiles_once () =
+  with_server (fun port _ ->
+      let misses () =
+        Option.value ~default:0
+          (Obs.find_counter ~labels:[ ("result", "miss") ] (Obs.snapshot ()) "cypher.plan_cache")
+      in
+      List.iter
+        (fun uid ->
+          let before = misses () in
+          let q =
+            Printf.sprintf
+              {|{"query": "MATCH (a:user {uid: %d})-[:follows]->(f:user) RETURN f.uid"}|} uid
+          in
+          let status, _, _ = request port ~meth:"POST" ~target:"/cypher" ~body:q () in
+          check Alcotest.int "spliced status" 200 status;
+          check Alcotest.int (Printf.sprintf "uid %d compiled once" uid) 1 (misses () - before))
+        [ 7; 8 ])
+
 (* The acceptance span chain: a traced request over the socket shows
    server.request rooting router.route -> replica.serve -> op.*. *)
 let test_e2e_trace_chain () =
@@ -916,6 +937,8 @@ let () =
           Alcotest.test_case "slow body evicted with 408" `Quick test_e2e_slow_body_408;
           Alcotest.test_case "loadgen types resets and retries them" `Quick
             test_e2e_loadgen_typed_resets;
+          Alcotest.test_case "spliced read compiles once" `Quick
+            test_e2e_spliced_compiles_once;
         ] );
       ( "chaos",
         [
