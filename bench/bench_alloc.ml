@@ -1,17 +1,16 @@
 (* A1': allocation profile of the Table-2 core-API mix — minor-heap
    words allocated per db hit on the packed read path: unboxed field
-   decoding and varint-packed CSR segments
-   ([Db.build_adjacency_segments]) yielding endpoint ints without
-   records. The oracle asserts (when the committed baseline exists)
-   that the current build has not regressed past 1.5x the baseline. *)
+   decoding and the endpoint-only chain walk of [Db.neighbors], which
+   yields endpoint ints without building edge records. The oracle
+   asserts (when the committed baseline exists) that the current build
+   has not regressed past 1.5x the baseline. *)
 
 open Bench_support
 
 let baseline_path = "_repro/alloc_baseline.csv"
 
 (* Smaller than the shared bench env: the alloc ratio is per-hit, so
-   it is scale-stable, and the experiment imports its own instance
-   (the CSR build mutates the db in place). *)
+   it is scale-stable, and the experiment imports its own instance. *)
 let alloc_users () = if !smoke then 400 else 1500
 
 (* The Table-2 argument selection, condensed from bench_tables. *)
@@ -88,7 +87,7 @@ let read_baseline () =
         find ())
 
 let run_alloc () =
-  section "A1': minor-heap words per db hit (CSR segments)";
+  section "A1': minor-heap words per db hit (record chains)";
   let scale = alloc_users () in
   announce "# setup: generating + importing (n_users=%d)\n%!" scale;
   let dataset = Generator.generate (Generator.scaled ~n_users:scale ()) in
@@ -97,7 +96,6 @@ let run_alloc () =
   let args_for = pick_args dataset reference scale in
   let cost = Sim_disk.cost (Db.disk neo.Contexts.db) in
   let runs = if !smoke then 2 else 5 in
-  Db.build_adjacency_segments neo.Contexts.db;
   let mix =
     List.map
       (fun (q : Workload.query) ->

@@ -189,34 +189,3 @@ module Page = struct
       err "Page: checksum mismatch";
     String.sub page header_bytes len
 end
-
-module Raw = struct
-  (* Cursor reads: tuple-returning decodes cost a 3-word allocation
-     per value, which a per-edge segment scan cannot afford. A cursor
-     is one 2-word record for a whole run of decodes. *)
-  type cursor = { mutable pos : int }
-
-  let cursor pos = { pos }
-  let pos c = c.pos
-
-  (* Tail recursion, not refs: each [ref] is a 2-word heap cell
-     without flambda. *)
-  let rec uvarint_loop b c v shift =
-    let byte = Char.code (Bytes.unsafe_get b c.pos) in
-    c.pos <- c.pos + 1;
-    let v = v lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 <> 0 then uvarint_loop b c v (shift + 7) else v
-
-  let read_uvarint b c = uvarint_loop b c 0 0
-
-  let read_int b c = unzigzag (read_uvarint b c)
-
-  let uvarint b ~pos =
-    let c = { pos } in
-    let v = read_uvarint b c in
-    (v, c.pos)
-
-  let int b ~pos =
-    let u, pos = uvarint b ~pos in
-    (unzigzag u, pos)
-end

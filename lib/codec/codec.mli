@@ -2,11 +2,10 @@
     strings, and checksummed pages over [Bytes].
 
     Everything persistent or shipped between processes — WAL frames,
-    checkpoint snapshots, CSR adjacency segments, bitmap spills —
-    encodes through this module instead of [Marshal], so the byte
-    format is stable across compiler versions, cheap to fault-inject
-    at byte granularity, and dense (a small int costs one byte, not a
-    boxed heap block).
+    checkpoint snapshots, bitmap spills — encodes through this module
+    instead of [Marshal], so the byte format is stable across compiler
+    versions, cheap to fault-inject at byte granularity, and dense (a
+    small int costs one byte, not a boxed heap block).
 
     Integers use LEB128 varints. Signed values are zigzag-mapped
     first ([0, -1, 1, -2, ...] -> [0, 1, 2, 3, ...]) so small negative
@@ -102,30 +101,4 @@ module Page : sig
   val payload : string -> string
   (** Unwrap and verify; raises {!Error} on truncation, length
       mismatch, or checksum mismatch. *)
-end
-
-(** Zero-allocation varint reads over a [Bytes.t] region, for hot
-    paths (CSR segment scans) that must not build a decoder. *)
-module Raw : sig
-  val uvarint : Bytes.t -> pos:int -> int * int
-  (** [uvarint b ~pos] is [(v, next_pos)]; no bounds checks beyond
-      [Bytes.get] itself. *)
-
-  val int : Bytes.t -> pos:int -> int * int
-  (** Zigzag-decoded signed read. *)
-
-  type cursor
-  (** Mutable read position. The tuple-returning reads above allocate
-      a pair per decode; a cursor is allocated once per scan and
-      advanced in place — the per-edge path of a CSR segment scan
-      allocates nothing. *)
-
-  val cursor : int -> cursor
-  val pos : cursor -> int
-
-  val read_uvarint : Bytes.t -> cursor -> int
-  (** Unsigned varint at the cursor; advances it past the value. *)
-
-  val read_int : Bytes.t -> cursor -> int
-  (** Zigzag-decoded signed read at the cursor. *)
 end

@@ -140,10 +140,6 @@ type t = {
   mutable node_count : int;
   mutable edge_count : int;
   mutable wal : Wal.t option;
-  (* Frozen CSR adjacency (built at checkpoint) + delta overlay; None
-     until the first checkpoint. Purely a read accelerator: the
-     record chains stay authoritative and fully maintained. *)
-  mutable csr : Csr.t option;
   catalog : Catalog.t;
   (* MVCC state. [versions] and [commit_marks] are transient: both are
      cleared whenever the last open transaction closes, so they are
@@ -156,10 +152,11 @@ type t = {
   commit_marks : (vkey, int) Hashtbl.t; (* key -> last commit ts *)
   mutable isolation : isolation;
   mutable track_reads : bool;
-  (* Scratch for the packed property-chain walk ([Record_store.
-     read_into]): one array reused across every step, so the walk
-     itself allocates nothing. *)
-  prop_scratch : int array;
+  (* Scratch for the packed chain walks ([Record_store.read_into]):
+     one array, sized for the widest record read through it, reused
+     across every step, so the walks themselves allocate nothing.
+     Each step copies out what it needs before the next read. *)
+  scratch : int array;
 }
 
 let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 50)
@@ -192,7 +189,6 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
       node_count = 0;
       edge_count = 0;
       wal = None;
-      csr = None;
       catalog = Catalog.create ();
       ts = 0;
       next_txn_id = 1;
@@ -202,7 +198,7 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
       commit_marks = Hashtbl.create 64;
       isolation = Snapshot;
       track_reads = false;
-      prop_scratch = Array.make prop_fields 0;
+      scratch = Array.make (max prop_fields rel_fields) 0;
     }
   in
   if wal then t.wal <- Some (Wal.create disk);
@@ -554,12 +550,12 @@ let atomic t f = Sim_disk.with_transients_suspended t.disk f
 let raw_node_exists t id =
   id >= 0
   && id < Record_store.count t.nodes
-  && Record_store.read1 t.nodes ~id ~field:n_in_use = 1
+  && Record_store.get t.nodes ~id ~field:n_in_use = 1
 
 let raw_edge_exists t id =
   id >= 0
   && id < Record_store.count t.rels
-  && Record_store.read1 t.rels ~id ~field:r_in_use = 1
+  && Record_store.get t.rels ~id ~field:r_in_use = 1
 
 let existence = function B_absent -> false | B_present -> true | B_value _ -> false
 
@@ -746,18 +742,16 @@ let node_label t id =
 let rec prop_walk t key_id head =
   if head = nil then Value.Null
   else begin
-    let s = t.prop_scratch in
+    let s = t.scratch in
     Record_store.read_into t.props ~id:head s;
     if Array.unsafe_get s p_key = key_id then
       decode_value t ~tag:(Array.unsafe_get s p_tag) ~payload:(Array.unsafe_get s p_payload)
     else prop_walk t key_id (Array.unsafe_get s p_next)
   end
 
-(* In-place (newest) value of one property slot. The head-field read
-   goes through the unboxed single-field path: same db hit, no
-   intermediate allocation. *)
+(* In-place (newest) value of one property slot. *)
 let raw_prop t ~store ~owner ~head_field key_id =
-  prop_walk t key_id (Record_store.read1 store ~id:owner ~field:head_field)
+  prop_walk t key_id (Record_store.get store ~id:owner ~field:head_field)
 
 let prop_before = function B_value v -> v | B_absent | B_present -> Value.Null
 
@@ -838,21 +832,38 @@ let raw_out_degree t id = Record_store.get t.nodes ~id ~field:n_out_degree
 let raw_in_degree t id = Record_store.get t.nodes ~id ~field:n_in_degree
 
 (* Walk one relationship chain lazily. [next_field] selects the
-   out-chain or in-chain linkage. *)
+   out-chain or in-chain linkage. Type, endpoints and link come in one
+   packed read: one db hit per record, no record array. *)
 let rec chain_seq t rel_id next_field () =
   if rel_id = nil then Seq.Nil
   else begin
-    let record = Record_store.get_record t.rels ~id:rel_id in
-    let e =
-      {
-        id = rel_id;
-        etype = Dict.name t.type_dict record.(r_type);
-        src = record.(r_src);
-        dst = record.(r_dst);
-      }
+    let type_id, src, dst, next =
+      Record_store.read4 t.rels ~id:rel_id ~f0:r_type ~f1:r_src ~f2:r_dst ~f3:next_field
     in
-    Seq.Cons (e, chain_seq t record.(next_field) next_field)
+    let e = { id = rel_id; etype = Dict.name t.type_dict type_id; src; dst } in
+    Seq.Cons (e, chain_seq t next next_field)
   end
+
+(* Endpoint-only walk of one chain, for [neighbors]: the same one db
+   hit per record as [chain_seq], decoded into the shared scratch, and
+   it yields the other endpoint's id — no [edge], no type-name lookup.
+   [tid] filters when >= 0; [skip_self] drops the in-chain copy of a
+   self-loop. *)
+let endpoint_seq t node ~tid ~out ~skip_self head =
+  let next_field = if out then r_next_out else r_next_in in
+  let other_field = if out then r_dst else r_src in
+  let rec step rel_id () =
+    if rel_id = nil then Seq.Nil
+    else begin
+      let s = t.scratch in
+      Record_store.read_into t.rels ~id:rel_id s;
+      let other = Array.unsafe_get s other_field and next = Array.unsafe_get s next_field in
+      if (tid < 0 || Array.unsafe_get s r_type = tid) && not (skip_self && other = node) then
+        Seq.Cons (other, step next)
+      else step next ()
+    end
+  in
+  step head
 
 (* ---------------- dense nodes (relationship groups) ---------------- *)
 
@@ -932,10 +943,6 @@ let unlink_side t id ~node ~type_id ~out =
    chains apart into per-type group chains. This is the work the
    import tool's "computing the dense nodes" step performs up front. *)
 let densify t node =
-  (* Group conversion reorders the node's chains wholesale; the frozen
-     CSR runs can no longer mirror them, so the node falls back to
-     chain reads permanently. *)
-  (match t.csr with Some c -> Csr.evict c node | None -> ());
   let collect head next_field =
     let rec walk acc rel_id =
       if rel_id = nil then List.rev acc
@@ -992,42 +999,13 @@ let chain_heads t node ?type_id ~out () =
   end
   else [ Record_store.get t.nodes ~id:node ~field:(if out then n_first_out else n_first_in) ]
 
-(* The frozen segments can serve this node's expansions only while no
-   version chains are live (the chain path applies MVCC visibility)
-   and the node was neither created after the freeze nor evicted by
-   densification. *)
-let csr_for t id =
-  match t.csr with
-  | Some c when (not (mvcc_read_needed t)) && Csr.covers c id -> Some c
-  | _ -> None
-
-(* Segment-backed expansion: one db hit for the run locate (the
-   chain-head read the linked form pays), one per scanned entry. *)
-let csr_edges t c id type_id dir =
-  let on () = Cost_model.record_db_hit (cost t) in
-  let keep tid = match type_id with None -> true | Some want -> tid = want in
-  let side ~out ~skip_self =
-    Cost_model.record_db_hit (cost t);
-    Seq.filter_map
-      (fun (eid, tid, other) ->
-        if keep tid && not (skip_self && other = id) then
-          Some
-            {
-              id = eid;
-              etype = Dict.name t.type_dict tid;
-              src = (if out then id else other);
-              dst = (if out then other else id);
-            }
-        else None)
-      (Csr.triples c ~node:id ~out ~on)
-  in
-  match dir with
-  | Out -> side ~out:true ~skip_self:false
-  | In -> side ~out:false ~skip_self:false
-  | Both ->
-    (* Self-loops live in both runs; report them once, from the out
-       side — same rule as the chain path. *)
-    Seq.append (side ~out:true ~skip_self:false) (side ~out:false ~skip_self:true)
+(* One direction's chains, concatenated in group order; the heads
+   are read now, the records as the sequence is forced. *)
+let side_seq t id ?type_id ~out walk =
+  List.fold_left
+    (fun acc head -> Seq.append acc (walk head))
+    Seq.empty
+    (chain_heads t id ?type_id ~out ())
 
 let edges_of t id ?etype dir =
   check_node t id;
@@ -1035,19 +1013,13 @@ let edges_of t id ?etype dir =
   match (etype, type_id) with
   | Some _, None -> Seq.empty (* unknown type name *)
   | _ ->
-    (match csr_for t id with
-    | Some c -> csr_edges t c id type_id dir
-    | None ->
     let type_ok =
       match etype with
       | None -> fun _ -> true
       | Some name -> fun (e : edge) -> String.equal e.etype name
     in
     let side ~out next_field =
-      List.fold_left
-        (fun acc head -> Seq.append acc (chain_seq t head next_field))
-        Seq.empty
-        (chain_heads t id ?type_id ~out ())
+      side_seq t id ?type_id ~out (fun head -> chain_seq t head next_field)
     in
     let seq =
       match dir with
@@ -1063,30 +1035,29 @@ let edges_of t id ?etype dir =
     (* Chains are physical: edges inserted by concurrent uncommitted
        transactions are linked in already, so snapshot expansion
        filters them out by visibility. *)
-    if mvcc_read_needed t then Seq.filter (fun (e : edge) -> edge_exists t e.id) seq else seq)
+    if mvcc_read_needed t then Seq.filter (fun (e : edge) -> edge_exists t e.id) seq else seq
 
+(* Same walk, same hits and page accesses in the same order as
+   [edges_of], projected to the other endpoint. Visibility filtering
+   needs edge ids, so while version entries exist it goes through
+   [edges_of]. *)
 let neighbors t id ?etype dir =
-  match csr_for t id with
-  | Some c -> (
+  if mvcc_read_needed t then Seq.map (fun e -> other_end e id) (edges_of t id ?etype dir)
+  else begin
     check_node t id;
     let type_id = Option.bind etype (Dict.find t.type_dict) in
     match (etype, type_id) with
     | Some _, None -> Seq.empty (* unknown type name *)
-    | _ ->
-      (* Endpoint ids come straight off the packed segment: no edge
-         records, no tuples — the allocation win [bench alloc]
-         measures. Hit accounting mirrors [csr_edges]. *)
-      let on () = Cost_model.record_db_hit (cost t) in
-      let tid = match type_id with Some w -> w | None -> -1 in
+    | _ -> (
+      let tid = Option.value type_id ~default:(-1) in
       let side ~out ~skip_self =
-        Cost_model.record_db_hit (cost t);
-        Csr.others c ~node:id ~out ~tid ~skip_self ~on
+        side_seq t id ?type_id ~out (endpoint_seq t id ~tid ~out ~skip_self)
       in
-      (match dir with
+      match dir with
       | Out -> side ~out:true ~skip_self:false
       | In -> side ~out:false ~skip_self:false
-      | Both -> Seq.append (side ~out:true ~skip_self:false) (side ~out:false ~skip_self:true)))
-  | None -> Seq.map (fun e -> other_end e id) (edges_of t id ?etype dir)
+      | Both -> Seq.append (side ~out:true ~skip_self:false) (side ~out:false ~skip_self:true))
+  end
 
 (* Cached degree fields count in-place chain membership, which under
    open concurrent transactions includes uncommitted insertions — so
@@ -1255,8 +1226,7 @@ let remove_edge_physically t id =
   Record_store.set t.rels ~id ~field:r_in_use 0;
   bump_degrees t ~src ~dst (-1);
   t.edge_count <- t.edge_count - 1;
-  bump_type_count t type_id (-1);
-  match t.csr with Some c -> Csr.on_remove c ~edge:id ~src ~dst | None -> ()
+  bump_type_count t type_id (-1)
 
 (* Logical (re-)insertion of an existing edge record into the current
    chains of its endpoints. *)
@@ -1268,8 +1238,7 @@ let insert_edge_physically t id =
   Record_store.set t.rels ~id ~field:r_in_use 1;
   bump_degrees t ~src ~dst 1;
   t.edge_count <- t.edge_count + 1;
-  bump_type_count t type_id 1;
-  match t.csr with Some c -> Csr.on_insert c ~edge:id ~tid:type_id ~src ~dst | None -> ()
+  bump_type_count t type_id 1
 
 let create_edge t ~etype ~src ~dst properties =
   check_node t src;
@@ -1480,23 +1449,23 @@ let encode_image t =
   let n_nodes = Record_store.count t.nodes in
   Codec.Enc.varint e n_nodes;
   for id = 0 to n_nodes - 1 do
-    if Record_store.read1 t.nodes ~id ~field:n_in_use = 1 then begin
+    if Record_store.get t.nodes ~id ~field:n_in_use = 1 then begin
       Codec.Enc.bool e true;
-      Codec.Enc.varint e (Record_store.read1 t.nodes ~id ~field:n_label);
-      Codec.Enc.bool e (Record_store.read1 t.nodes ~id ~field:n_dense = 1);
-      props (Record_store.read1 t.nodes ~id ~field:n_first_prop)
+      Codec.Enc.varint e (Record_store.get t.nodes ~id ~field:n_label);
+      Codec.Enc.bool e (Record_store.get t.nodes ~id ~field:n_dense = 1);
+      props (Record_store.get t.nodes ~id ~field:n_first_prop)
     end
     else Codec.Enc.bool e false
   done;
   let n_edges = Record_store.count t.rels in
   Codec.Enc.varint e n_edges;
   for id = 0 to n_edges - 1 do
-    if Record_store.read1 t.rels ~id ~field:r_in_use = 1 then begin
+    if Record_store.get t.rels ~id ~field:r_in_use = 1 then begin
       Codec.Enc.bool e true;
-      Codec.Enc.varint e (Record_store.read1 t.rels ~id ~field:r_type);
-      Codec.Enc.varint e (Record_store.read1 t.rels ~id ~field:r_src);
-      Codec.Enc.varint e (Record_store.read1 t.rels ~id ~field:r_dst);
-      props (Record_store.read1 t.rels ~id ~field:r_first_prop)
+      Codec.Enc.varint e (Record_store.get t.rels ~id ~field:r_type);
+      Codec.Enc.varint e (Record_store.get t.rels ~id ~field:r_src);
+      Codec.Enc.varint e (Record_store.get t.rels ~id ~field:r_dst);
+      props (Record_store.get t.rels ~id ~field:r_first_prop)
     end
     else Codec.Enc.bool e false
   done;
@@ -1520,14 +1489,18 @@ let save t path =
   let meta = Bytes.create 12 in
   Bytes.set_int64_le meta 0 (Int64.of_int (String.length payload));
   Bytes.set_int32_le meta 8 (Mgq_util.Crc32.digest payload);
-  let oc = open_out_bin path in
+  (* Write beside the target and rename over it: [open_out_bin path]
+     would truncate the only snapshot before the new one is complete. *)
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc save_magic;
       output_byte oc save_version;
       output_bytes oc meta;
-      output_string oc payload)
+      output_string oc payload);
+  Sys.rename tmp path
 
 let decode_image payload =
   let d = Codec.Dec.of_string payload in
@@ -1624,37 +1597,8 @@ let load path =
       | Schema_error msg -> corrupt "snapshot payload: %s" msg
       | Node_not_found id -> corrupt "snapshot edge references missing node %d" id)
 
-(* ---------------- CSR adjacency segments ---------------- *)
-
-let build_adjacency_segments t =
-  if t.open_txns <> [] then raise (Tx_error "Db.build_adjacency_segments: transaction open");
-  let n = Record_store.count t.nodes in
-  let collect node ~out next_field =
-    let walk head =
-      let rec go acc rel_id =
-        if rel_id = nil then List.rev acc
-        else begin
-          let r = Record_store.get_record t.rels ~id:rel_id in
-          let other = if out then r.(r_dst) else r.(r_src) in
-          go ((rel_id, r.(r_type), other) :: acc) r.(next_field)
-        end
-      in
-      go [] head
-    in
-    List.concat_map walk (chain_heads t node ~out ())
-  in
-  let live node = Record_store.read1 t.nodes ~id:node ~field:n_in_use = 1 in
-  t.csr <-
-    Some
-      (Csr.make ~n
-         ~out_entries:(fun node -> if live node then collect node ~out:true r_next_out else [])
-         ~in_entries:(fun node -> if live node then collect node ~out:false r_next_in else []))
-
-let drop_adjacency_segments t = t.csr <- None
-let has_adjacency_segments t = t.csr <> None
-let adjacency_segment_bytes t = match t.csr with Some c -> Csr.memory_bytes c | None -> 0
-
 (* ---------------- checkpoint & recovery ---------------- *)
+
 
 let checkpoint t path =
   if t.open_txns <> [] then raise (Tx_error "Db.checkpoint: transaction open");
@@ -1663,11 +1607,9 @@ let checkpoint t path =
      previous snapshot + full log intact. *)
   Sim_disk.flush_all t.disk;
   save t path;
-  (match t.wal with Some w -> Wal.truncate w | None -> ());
-  (* Freeze the CSR adjacency segments off the just-snapshotted state.
-     In-memory only, so a crash from here on merely loses the
-     accelerator; suspended faults keep the freeze deterministic. *)
-  Sim_disk.with_faults_suspended t.disk (fun () -> build_adjacency_segments t)
+  match t.wal with Some w -> Wal.truncate w | None -> ()
+
+let adjacency_segment_bytes _ = 0
 
 (* Creations replay under the ids the log recorded. Transactions that
    rolled back (or merely ran concurrently without committing first)

@@ -67,6 +67,9 @@ val save : t -> string -> unit
     per-id node and edge rows (tombstones included) and the index
     schema, all varints and length-prefixed strings. Unlike the
     marshalled v5 form, the bytes are stable across compiler versions.
+    The image is written to [path ^ ".tmp"] and renamed over [path]
+    once closed, so a failed or interrupted save leaves the previous
+    snapshot intact.
     @raise Tx_error when a transaction is open. *)
 
 val load : string -> t
@@ -82,28 +85,16 @@ val load : string -> t
     @raise Failure when the file cannot be opened. *)
 
 val checkpoint : t -> string -> unit
-(** Flush every dirty page, {!save} a snapshot to [path], truncate
-    the write-ahead log, then freeze fresh CSR adjacency segments
-    ({!build_adjacency_segments}). Ordered so that a fault at any
-    step leaves the previous snapshot and the full log intact.
+(** Flush every dirty page, {!save} a snapshot to [path], then
+    truncate the write-ahead log. Ordered so that a fault at any step
+    leaves the previous snapshot and the full log intact: {!save}
+    replaces [path] only once the new image is complete.
     @raise Tx_error when a transaction is open. *)
-
-val build_adjacency_segments : t -> unit
-(** Freeze every node's relationship chains into immutable varint-
-    packed CSR segments (see [Csr]); until {!drop_adjacency_segments}
-    (or a reason to fall back: open snapshot versions, densification,
-    nodes created after the freeze), [edges_of]/[neighbors] answer
-    from the segments plus a mutation overlay — same results, same
-    db-hit accounting on sparse nodes, a fraction of the allocations.
-    @raise Tx_error when a transaction is open. *)
-
-val drop_adjacency_segments : t -> unit
-(** Discard the segments; every read goes back to the record chains. *)
-
-val has_adjacency_segments : t -> bool
 
 val adjacency_segment_bytes : t -> int
-(** Packed footprint of the current segments (0 when absent). *)
+(** Always 0: adjacency lives only in the record chains, with no
+    packed segments beside them. Kept for benchmark drivers that still
+    report it as a metric. *)
 
 val recover : ?snapshot:string -> t -> t
 (** Rebuild the database after a simulated crash (or at any point):
@@ -327,8 +318,9 @@ val neighbors :
   ?etype:string ->
   Mgq_core.Types.direction ->
   Mgq_core.Types.node_id Seq.t
-(** Other endpoints of {!edges_of}; duplicates occur when the
-    multigraph has parallel edges. *)
+(** Other endpoints of {!edges_of}, in the same order and at the same
+    db-hit and page cost, without building edge records; duplicates
+    occur when the multigraph has parallel edges. *)
 
 val all_nodes : t -> Mgq_core.Types.node_id Seq.t
 (** Store scan, skipping deleted records. *)

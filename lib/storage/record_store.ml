@@ -50,13 +50,6 @@ let allocate t =
   t.count <- t.count + 1;
   id
 
-let get t ~id ~field =
-  assert (field >= 0 && field < t.fields);
-  let page, off = locate t id in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
-  Sim_disk.with_page_read t.disk page (fun bytes ->
-      Int64.to_int (Bytes.get_int64_le bytes (off + (field * 8))))
-
 let set t ~id ~field v =
   assert (field >= 0 && field < t.fields);
   let page, off = locate t id in
@@ -65,8 +58,8 @@ let set t ~id ~field v =
       Bytes.set_int64_le bytes (off + (field * 8)) (Int64.of_int v))
 
 (* Decode one stored field without boxing: [Bytes.get_int64_le]
-   allocates an [int64] block per read, which the hot property-walk
-   paths cannot afford. Fields are written as sign-extended 64-bit
+   allocates an [int64] block per read, which every record read would
+   then pay. Fields are written as sign-extended 64-bit
    little-endian ints; rebuilding from bytes drops the duplicated top
    bit and keeps bit 62 as the tag-free OCaml sign, so the full
    63-bit range (nil = -1 included) round-trips. *)
@@ -83,23 +76,15 @@ let unboxed_field bytes off field =
   lor (Char.code (Bytes.unsafe_get bytes (base + 6)) lsl 48)
   lor (Char.code (Bytes.unsafe_get bytes (base + 7)) lsl 56)
 
-(* The packed readers locate inline rather than through [locate]:
-   without flambda the (page, off) pair is a real tuple allocation on
-   every record access. *)
-let read1 t ~id ~field =
+(* The readers locate inline rather than through [locate]: without
+   flambda the (page, off) pair is a real tuple allocation on every
+   record access. *)
+let get t ~id ~field =
   assert (id >= 0 && id < t.count && field >= 0 && field < t.fields);
   let page = t.page_table.(id / t.records_per_page) in
   let off = id mod t.records_per_page * t.record_bytes in
   Cost_model.record_db_hit (Sim_disk.cost t.disk);
   unboxed_field (Sim_disk.read_page t.disk page) off field
-
-let read2 t ~id ~f0 ~f1 =
-  assert (id >= 0 && id < t.count && f0 >= 0 && f0 < t.fields && f1 >= 0 && f1 < t.fields);
-  let page = t.page_table.(id / t.records_per_page) in
-  let off = id mod t.records_per_page * t.record_bytes in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
-  let bytes = Sim_disk.read_page t.disk page in
-  (unboxed_field bytes off f0, unboxed_field bytes off f1)
 
 let read4 t ~id ~f0 ~f1 ~f2 ~f3 =
   assert (id >= 0 && id < t.count && f3 < t.fields);
@@ -113,8 +98,8 @@ let read4 t ~id ~f0 ~f1 ~f2 ~f3 =
     unboxed_field bytes off f3 )
 
 (* Whole-record read into a caller-owned scratch array: one db hit,
-   zero allocation. The chain walks (property lookups) reuse one
-   scratch per store for their inner loop. *)
+   zero allocation. The chain walks reuse one scratch array for their
+   inner loop. *)
 let read_into t ~id dst =
   assert (id >= 0 && id < t.count && Array.length dst >= t.fields);
   let page = t.page_table.(id / t.records_per_page) in
@@ -126,11 +111,9 @@ let read_into t ~id dst =
   done
 
 let get_record t ~id =
-  let page, off = locate t id in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
-  Sim_disk.with_page_read t.disk page (fun bytes ->
-      Array.init t.fields (fun f ->
-          Int64.to_int (Bytes.get_int64_le bytes (off + (f * 8)))))
+  let record = Array.make t.fields 0 in
+  read_into t ~id record;
+  record
 
 let set_record t ~id values =
   assert (Array.length values = t.fields);

@@ -23,21 +23,15 @@ val count : t -> int
 (** Number of records ever allocated. *)
 
 val get : t -> id:int -> field:int -> int
-(** Read one field. Charges a db hit plus the underlying page access. *)
+(** Read one field. Charges a db hit plus the underlying page access;
+    decodes the field without an [int64] box, so it allocates
+    nothing. *)
 
 val set : t -> id:int -> field:int -> int -> unit
 (** Write one field. Charges a db hit; dirties the page. *)
 
 val get_record : t -> id:int -> int array
 (** Read all fields with a single db hit / page access. *)
-
-val read1 : t -> id:int -> field:int -> int
-(** {!get} without the boxed-int64 intermediate: zero heap
-    allocation, same single db hit. *)
-
-val read2 : t -> id:int -> f0:int -> f1:int -> int * int
-(** Two fields in one db hit / page access; allocates only the
-    result tuple (no array, no closure, no int64 boxes). *)
 
 val read4 : t -> id:int -> f0:int -> f1:int -> f2:int -> f3:int -> int * int * int * int
 (** Four fields in one db hit — the packed read the property-chain

@@ -1,7 +1,7 @@
 (* Round-trip properties and pinned byte-level regressions for the
    binary codec layer (DESIGN.md §16): varint/zigzag integers,
-   length-prefixed strings, checksummed pages, raw cursor reads, and
-   the WAL op codec built on top of them. *)
+   length-prefixed strings, checksummed pages, and the WAL op codec
+   built on top of them. *)
 
 module Codec = Mgq_codec.Codec
 module Wal = Mgq_neo.Wal
@@ -178,32 +178,6 @@ let prop_stream_roundtrip =
       = (n, s, pairs))
 
 (* ------------------------------------------------------------------ *)
-(* Raw / cursor reads                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let prop_raw_matches_dec =
-  QCheck.Test.make ~name:"Raw and cursor reads agree with Dec" ~count:300
-    QCheck.(list any_int)
-    (fun l ->
-      let blob = enc (fun e -> List.iter (fun v -> Codec.Enc.int e v) l) in
-      let b = Bytes.of_string blob in
-      (* tuple API *)
-      let rec via_tuples acc pos =
-        if pos >= Bytes.length b then List.rev acc
-        else begin
-          let v, pos = Codec.Raw.int b ~pos in
-          via_tuples (v :: acc) pos
-        end
-      in
-      (* cursor API *)
-      let c = Codec.Raw.cursor 0 in
-      let rec via_cursor acc =
-        if Codec.Raw.pos c >= Bytes.length b then List.rev acc
-        else via_cursor (Codec.Raw.read_int b c :: acc)
-      in
-      via_tuples [] 0 = l && via_cursor [] = l)
-
-(* ------------------------------------------------------------------ *)
 (* Pages                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -308,7 +282,6 @@ let suite =
         qtest prop_option_roundtrip;
         qtest prop_value_roundtrip;
         qtest prop_stream_roundtrip;
-        qtest prop_raw_matches_dec;
         qtest prop_page_roundtrip;
       ] );
   ]

@@ -816,6 +816,103 @@ let prop_dense_equals_sparse =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Chain reads: neighbors = other endpoints of edges_of                 *)
+(* ------------------------------------------------------------------ *)
+
+let script_etypes = [| "follows"; "mentions"; "posts" |]
+
+(* A graph script (threshold, node count, ops). Each op (kind, a, b)
+   takes node indices modulo the node count: kinds 0-2 create an edge
+   of that type from a to b (a self-loop when they coincide), 3
+   deletes a live edge picked by b, 4 densifies node a. A two-page
+   pool makes every store switch a page fault, so the fault counts
+   pin the order of page accesses, not just their number. *)
+let build_script (threshold, n_nodes, ops) =
+  let db = Db.create ~pool_pages:2 ~dense_node_threshold:threshold () in
+  let nodes = Array.init n_nodes (fun _ -> Db.create_node db ~label:"user" no_props) in
+  let live = ref [] in
+  List.iter
+    (fun (kind, a, b) ->
+      let a = nodes.(a mod n_nodes) and b = nodes.(b mod n_nodes) in
+      if kind < 3 then
+        live := Db.create_edge db ~etype:script_etypes.(kind) ~src:a ~dst:b no_props :: !live
+      else if kind = 3 then begin
+        match !live with
+        | [] -> ()
+        | l ->
+          let victim = List.nth l (b mod List.length l) in
+          Db.delete_edge db victim;
+          live := List.filter (fun e -> e <> victim) l
+      end
+      else Db.densify_node db a)
+    ops;
+  (db, nodes)
+
+let script_arb =
+  QCheck.(
+    triple (int_range 2 6) (int_range 1 8)
+      (small_list (triple (int_bound 4) small_nat small_nat)))
+
+(* Two identically scripted stores, one read through [neighbors] and
+   one through [edges_of]: per node, direction and type filter (none,
+   known, unknown) the answers must match in order, and the two reads
+   must charge identical counters. [prepare] runs on both stores
+   before the reads. *)
+let chain_reads_agree ?(prepare = fun _ _ -> ()) spec =
+  let a, nodes = build_script spec and b, _ = build_script spec in
+  prepare a nodes;
+  prepare b nodes;
+  let measure db f =
+    let cost = Sim_disk.cost (Db.disk db) in
+    let before = Cost_model.snapshot cost in
+    let v = f () in
+    (v, Cost_model.sub_counters (Cost_model.snapshot cost) before)
+  in
+  Array.for_all
+    (fun n ->
+      List.for_all
+        (fun dir ->
+          List.for_all
+            (fun etype ->
+              let got = measure a (fun () -> List.of_seq (Db.neighbors a n ?etype dir)) in
+              let want =
+                measure b (fun () ->
+                    List.map (fun e -> Types.other_end e n) (List.of_seq (Db.edges_of b n ?etype dir)))
+              in
+              got = want)
+            [ None; Some "mentions"; Some "unknown" ])
+        [ Types.Out; Types.In; Types.Both ])
+    nodes
+
+let prop_neighbors_match_edges =
+  QCheck.Test.make ~name:"neighbors = other ends of edges_of, same cost" ~count:150 script_arb
+    (fun spec -> chain_reads_agree spec)
+
+(* The MVCC path: an open transaction holds an uncommitted insert, so
+   both reads filter by visibility — first as the writer, then as an
+   outside reader that must not see the insert. *)
+let prop_neighbors_match_edges_mvcc =
+  QCheck.Test.make ~name:"neighbors = other ends of edges_of under an open txn" ~count:100
+    script_arb (fun spec ->
+      let txns = ref [] in
+      let prepare db nodes =
+        let txn = Db.begin_txn db in
+        let last = nodes.(Array.length nodes - 1) in
+        ignore (Db.create_edge db ~etype:"mentions" ~src:nodes.(0) ~dst:last no_props : int);
+        txns := (db, txn) :: !txns
+      in
+      let as_writer = chain_reads_agree ~prepare spec in
+      let as_reader =
+        chain_reads_agree
+          ~prepare:(fun db nodes ->
+            prepare db nodes;
+            Db.deactivate db)
+          spec
+      in
+      List.iter (fun (db, txn) -> Db.rollback_txn db txn) !txns;
+      as_writer && as_reader)
+
+(* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -838,6 +935,27 @@ let test_save_load_roundtrip () =
   let n = Db.create_node db2 ~label:"user" (props [ ("uid", Value.Int 99) ]) in
   ignore (Db.create_edge db2 ~etype:"follows" ~src:n ~dst:u0 no_props);
   check Alcotest.int "writable" (Db.node_count db + 1) (Db.node_count db2)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A reader holding the first snapshot open keeps reading it whole
+   while a second save replaces the file: the new image goes to a
+   temporary file renamed over the old one, never into the old one. *)
+let test_save_replaces_atomically () =
+  let db, _, _, _, _ = small_graph () in
+  let path = Filename.temp_file "mgq_atomic" ".neo" in
+  Db.save db path;
+  let first = read_file path in
+  let ic = open_in_bin path in
+  ignore (Db.create_node db ~label:"user" no_props : int);
+  Db.save db path;
+  let held = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check Alcotest.string "open reader keeps the first image" first held;
+  check Alcotest.int "path holds the second image" (Db.node_count db)
+    (Db.node_count (Db.load path));
+  check Alcotest.bool "no temporary file left" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path
 
 let test_save_rejects_open_tx () =
   let db, _, _, _, _ = small_graph () in
@@ -974,9 +1092,15 @@ let suite =
           test_dense_rollback_across_densification;
         qtest prop_dense_equals_sparse;
       ] );
+    ( "chain-reads",
+      [
+        qtest ~rand:(Random.State.make [| 18 |]) prop_neighbors_match_edges;
+        qtest ~rand:(Random.State.make [| 19 |]) prop_neighbors_match_edges_mvcc;
+      ] );
     ( "persistence",
       [
         Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
+        Alcotest.test_case "save replaces atomically" `Quick test_save_replaces_atomically;
         Alcotest.test_case "save rejects open tx" `Quick test_save_rejects_open_tx;
         Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
         Alcotest.test_case "load rejects corruption" `Quick test_load_rejects_corruption;
