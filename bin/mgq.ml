@@ -188,8 +188,8 @@ let query_cmd =
   (* The traced path serves the read through a one-replica cluster so
      the span tree crosses every layer the request really would:
      router -> replica -> engine -> traversal. The import runs on the
-     primary (it manages its own transactions) and ships to the
-     replica over the WAL before the query is routed. *)
+     primary (it manages its own transactions); the replica starts as
+     its base backup. *)
   let run_routed dataset q args system =
     let module Cluster = Mgq_cluster.Cluster in
     let module Replica = Mgq_cluster.Replica in
@@ -202,19 +202,14 @@ let query_cmd =
         sync_replicas = 0;
       }
     in
-    let cluster = Cluster.create ~config () in
-    let report, users, tweets, hashtags =
-      Import_neo.run (Cluster.primary cluster) dataset
-    in
-    let replica = (Cluster.replicas cluster).(0) in
-    while Replica.applied_lsn replica < Cluster.head_lsn cluster do
-      Cluster.tick cluster
-    done;
+    let primary = Mgq_neo.Db.create () in
+    let report, users, tweets, hashtags = Import_neo.run primary dataset in
+    let cluster = Cluster.create ~config ~primary () in
     start_trace ();
     let session = Cluster.session cluster 0 in
     Cluster.read cluster ~session (fun db ->
-        (* WAL replay is deterministic, so the primary's dataset->node
-           maps are valid on the replica too. *)
+        (* The replica is a copy of the primary, so the primary's
+           dataset->node maps are valid on it too. *)
         let ctx =
           { Contexts.db; session = Cypher.create db; users; tweets; hashtags; report }
         in

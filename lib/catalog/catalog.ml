@@ -63,6 +63,27 @@ let create () =
     endpoints = Hashtbl.create 16;
   }
 
+(* [Hashtbl.copy] shares the values; every mutable one is copied too. *)
+let copy_with f tbl =
+  let c = Hashtbl.copy tbl in
+  Hashtbl.filter_map_inplace (fun _ v -> Some (f v)) c;
+  c
+
+let copy_ref r = ref !r
+
+let copy t =
+  {
+    t with
+    node_label = Hashtbl.copy t.node_label;
+    label_tbl = copy_with copy_ref t.label_tbl;
+    etype_tbl = copy_with copy_ref t.etype_tbl;
+    node_deg = copy_with copy_ref t.node_deg;
+    deg =
+      copy_with (fun ds -> { d_edges = ds.d_edges; d_buckets = Array.copy ds.d_buckets }) t.deg;
+    props = copy_with (fun p -> { p with p_counts = copy_with copy_ref p.p_counts }) t.props;
+    endpoints = copy_with copy_ref t.endpoints;
+  }
+
 let epoch t = t.epoch
 
 let bump_epoch t =

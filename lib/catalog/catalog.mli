@@ -44,6 +44,9 @@ type event =
 
 val create : unit -> t
 
+val copy : t -> t
+(** A deep copy, epoch included, sharing no mutable state with [t]. *)
+
 val epoch : t -> int
 
 val bump_epoch : t -> unit

@@ -51,25 +51,30 @@ type t = {
   mutable primary_down : bool;
 }
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?primary () =
   if config.replicas < 0 then invalid_arg "Cluster.create: negative replica count";
   if config.sync_replicas > config.replicas then
     invalid_arg "Cluster.create: sync_replicas exceeds replica count";
+  let primary =
+    match primary with Some db -> db | None -> Db.create ?pool_pages:config.pool_pages ()
+  in
   let rng = Rng.create config.seed in
+  (* Every replica starts as a base backup of the primary at its head
+     LSN; shipping carries only what commits after this point. *)
   let replicas =
     Array.init config.replicas (fun id ->
-        Replica.create ?pool_pages:config.pool_pages ~id ~lag:config.lag
-          ~drop_p:config.drop_p (Rng.split rng))
+        Replica.create ~id ~lag:config.lag ~drop_p:config.drop_p (Rng.split rng)
+          (Db.clone primary))
   in
   {
     config;
-    primary = Db.create ?pool_pages:config.pool_pages ();
+    primary;
     replicas;
     router = Router.create config.policy ~n_replicas:config.replicas;
     rng;
     sessions = Hashtbl.create 64;
     now = 0;
-    acked_lsn = 0;
+    acked_lsn = Db.last_lsn primary;
     epoch = 0;
     primary_down = false;
   }

@@ -51,9 +51,16 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
-(** A fresh cluster: empty primary, empty replicas.
-    @raise Invalid_argument when [sync_replicas > replicas]. *)
+val create : ?config:config -> ?primary:Mgq_neo.Db.t -> unit -> t
+(** A cluster around [primary] (default: a fresh empty database with
+    [config.pool_pages]), which may already hold data, for example a
+    finished import, but no open transaction. Every replica starts as
+    {!Mgq_neo.Db.clone} of the primary, with received = applied =
+    {!head_lsn}: a base backup, after which WAL shipping carries only
+    later commits. Everything the primary holds at creation counts as
+    acknowledged.
+    @raise Invalid_argument when [sync_replicas > replicas].
+    @raise Mgq_neo.Db.Tx_error when [primary] has an open transaction. *)
 
 val config : t -> config
 val primary : t -> Mgq_neo.Db.t

@@ -41,16 +41,17 @@ type t = {
   mutable apply_faults : int;
 }
 
-let create ?pool_pages ~id ~lag ~drop_p rng =
+let create ~id ~lag ~drop_p rng db =
+  let lsn = Db.last_lsn db in
   {
     id;
-    db = Db.create ?pool_pages ();
+    db;
     lag;
     drop_p;
     rng;
     inbox = Queue.create ();
-    received_lsn = 0;
-    applied_lsn = 0;
+    received_lsn = lsn;
+    applied_lsn = lsn;
     frames_applied = 0;
     drops = 0;
     apply_faults = 0;

@@ -30,11 +30,12 @@ val lag_of_string : string -> lag option
 
 type t
 
-val create :
-  ?pool_pages:int -> id:int -> lag:lag -> drop_p:float -> Mgq_util.Rng.t -> t
-(** A fresh, empty replica. [drop_p] is the seeded per-shipment
-    probability that {!receive} drops the frame (the primary resends
-    on a later tick). *)
+val create : id:int -> lag:lag -> drop_p:float -> Mgq_util.Rng.t -> Mgq_neo.Db.t -> t
+(** A replica serving [db], a base backup of the primary
+    ({!Mgq_neo.Db.clone}): it has received and applied everything up to
+    [Db.last_lsn db], and shipping resumes from there. [drop_p] is the
+    seeded per-shipment probability that {!receive} drops the frame
+    (the primary resends on a later tick). *)
 
 val id : t -> int
 val db : t -> Mgq_neo.Db.t

@@ -3,6 +3,7 @@ module Sim_disk = Mgq_storage.Sim_disk
 module Fault = Mgq_storage.Fault
 module Value = Mgq_core.Value
 module Property = Mgq_core.Property
+module Rng = Mgq_util.Rng
 
 type config = {
   seed : int;
@@ -63,9 +64,10 @@ type sess = {
 let run cfg =
   (* Two independent streams: programs must not depend on how many
      scheduling draws were consumed, or a config tweak would reshuffle
-     every workload. *)
-  let prog_rng = Random.State.make [| cfg.seed; 0x5eed |] in
-  let sched_rng = Random.State.make [| cfg.seed; 0xd15c |] in
+     every workload. [split] hands the scheduler its own stream before
+     any program draw. *)
+  let prog_rng = Rng.create cfg.seed in
+  let sched_rng = Rng.split prog_rng in
   let db = Db.create () in
   Db.set_isolation db cfg.isolation;
   Db.set_read_tracking db true;
@@ -89,11 +91,11 @@ let run cfg =
   let gen_prog () =
     let ops =
       List.init cfg.ops_per_txn (fun _ ->
-          let r = Random.State.int prog_rng cfg.registers in
-          if Random.State.float prog_rng 1.0 < cfg.write_prob then O_write r else O_read r)
+          let r = Rng.int prog_rng cfg.registers in
+          if Rng.chance prog_rng cfg.write_prob then O_write r else O_read r)
     in
     let terminal =
-      if Random.State.float prog_rng 1.0 < cfg.abort_prob then T_abort else T_commit
+      if Rng.chance prog_rng cfg.abort_prob then T_abort else T_commit
     in
     { p_ops = ops; p_terminal = terminal }
   in
@@ -202,7 +204,7 @@ let run cfg =
              (Array.to_list sessions))
       in
       if Array.length live > 0 then begin
-        step live.(Random.State.int sched_rng (Array.length live));
+        step live.(Rng.int sched_rng (Array.length live));
         loop ()
       end
     end

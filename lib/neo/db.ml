@@ -204,6 +204,38 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
   if wal then t.wal <- Some (Wal.create disk);
   t
 
+(* A base backup: every structure is copied, so the clone and [t]
+   evolve independently from here. The MVCC tables are empty whenever
+   no transaction is open, so they start fresh. *)
+let clone t =
+  if t.open_txns <> [] then raise (Tx_error "Db.clone: transaction open");
+  let disk = Sim_disk.clone t.disk in
+  let copy_tbl f tbl =
+    let c = Hashtbl.copy tbl in
+    Hashtbl.filter_map_inplace (fun _ v -> Some (f v)) c;
+    c
+  in
+  {
+    t with
+    disk;
+    nodes = Record_store.clone t.nodes disk;
+    rels = Record_store.clone t.rels disk;
+    props = Record_store.clone t.props disk;
+    groups = Record_store.clone t.groups disk;
+    strings = Blob_store.clone t.strings disk;
+    label_dict = Dict.clone t.label_dict;
+    type_dict = Dict.clone t.type_dict;
+    key_dict = Dict.clone t.key_dict;
+    label_scans = copy_tbl (fun s -> { ids = Array.copy s.ids; len = s.len }) t.label_scans;
+    type_counts = copy_tbl (fun r -> ref !r) t.type_counts;
+    indexes = copy_tbl (copy_tbl (fun r -> ref !r)) t.indexes;
+    wal = Option.map (fun w -> Wal.clone w disk) t.wal;
+    catalog = Catalog.copy t.catalog;
+    versions = Hashtbl.create 64;
+    commit_marks = Hashtbl.create 64;
+    scratch = Array.make (Array.length t.scratch) 0;
+  }
+
 let disk t = t.disk
 let cost t = Sim_disk.cost t.disk
 let wal t = t.wal

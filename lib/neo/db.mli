@@ -44,6 +44,20 @@ val create :
     logical redo record, making {!recover} possible after a simulated
     crash. *)
 
+val clone : t -> t
+(** A base backup of [t] at its current LSN: a deep copy of the
+    simulated disk's pages and pool state, the four record stores, the
+    string store and the write-ahead log (whose frames live on those
+    pages, so the clone's log holds the same bytes and LSNs), the
+    dictionaries, label scans, type counts, indexes, counts and the
+    statistics catalog with its epoch. The clone shares no mutable
+    structure with [t]: a write to either leaves the other unchanged.
+    Its disk gets a fresh cost model (same configuration, counters at
+    zero) and no fault plan. A replica seeded this way continues from
+    [last_lsn t] by applying shipped frames ({!apply_redo}).
+    @raise Tx_error when a transaction is open.
+    @raise Invalid_argument when [t]'s disk has crashed. *)
+
 val disk : t -> Mgq_storage.Sim_disk.t
 
 val wal : t -> Wal.t option

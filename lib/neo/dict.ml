@@ -28,6 +28,10 @@ type t = {
 let create () =
   { snap = Atomic.make { by_name = Tbl.create 1; by_id = [||] }; writer = -1; mu = Mutex.create () }
 
+(* Published snapshots are never mutated, so the copy may start from
+   the source's; a later intern on either side publishes a fresh one. *)
+let clone t = { snap = Atomic.make (Atomic.get t.snap); writer = -1; mu = Mutex.create () }
+
 let adopt_writer t = Mutex.protect t.mu (fun () -> t.writer <- (Domain.self () :> int))
 
 let find t name = Tbl.find_opt (Atomic.get t.snap).by_name name

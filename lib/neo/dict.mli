@@ -18,6 +18,12 @@ type t
 
 val create : unit -> t
 
+val clone : t -> t
+(** A dictionary holding the same names under the same ids, starting
+    from [t]'s published snapshot. Interns on either side never show
+    in the other. The copy's writer is unpinned: its first interning
+    domain pins itself. *)
+
 val intern : t -> string -> int
 (** Id for the name, creating it when new.
     @raise Invalid_argument when a new name is interned from a domain

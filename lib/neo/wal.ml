@@ -165,6 +165,8 @@ let create ?(base_lsn = 0) disk =
     offsets = Array.make 8 0;
   }
 
+let clone t disk = { t with disk; pages = Array.copy t.pages; offsets = Array.copy t.offsets }
+
 let records t = t.records
 let length_bytes t = t.length
 let base_lsn t = t.base_lsn

@@ -82,6 +82,12 @@ val create : ?base_lsn:int -> Mgq_storage.Sim_disk.t -> t
     snapshot passes the snapshot's high-water mark so replayed and
     newly appended records continue the original sequence. *)
 
+val clone : t -> Mgq_storage.Sim_disk.t -> t
+(** The same log over [disk], a {!Mgq_storage.Sim_disk.clone} of this
+    log's disk: frames live on the copied pages, so the clone holds the
+    same bytes, base and LSNs, and appends to either log leave the
+    other unchanged. *)
+
 val append_ops : t -> op list -> int
 (** Append one record (one committed transaction); returns its LSN.
     May raise the armed fault plan's exceptions mid-frame — the torn-

@@ -87,18 +87,11 @@ let create ?(config = default_config)
       seed = config.seed;
     }
   in
-  let cluster = Cluster.create ~config:cluster_config () in
-  let report, users, tweets, hashtags = Import_neo.run (Cluster.primary cluster) dataset in
-  (* Replicas must be caught up before the router sends reads their
-     way: WAL replay is deterministic, so the primary's dataset->node
-     maps are valid on every replica. *)
-  let head = Cluster.head_lsn cluster in
-  let caught_up () =
-    Array.for_all (fun r -> Replica.applied_lsn r >= head) (Cluster.replicas cluster)
-  in
-  while not (caught_up ()) do
-    Cluster.tick cluster
-  done;
+  let primary = Db.create () in
+  let report, users, tweets, hashtags = Import_neo.run primary dataset in
+  (* Replicas are base backups of the imported primary, so the
+     primary's dataset->node maps are valid on every replica. *)
+  let cluster = Cluster.create ~config:cluster_config ~primary () in
   let dbs =
     Cluster.primary cluster
     :: Array.to_list (Array.map Replica.db (Cluster.replicas cluster))

@@ -23,6 +23,9 @@ let create disk ~name =
     valid = Hashtbl.create 1024;
   }
 
+let clone t disk =
+  { t with disk; page_table = Array.copy t.page_table; valid = Hashtbl.copy t.valid }
+
 let page_size t = Sim_disk.page_size t.disk
 
 let ensure_page t chunk =

@@ -12,6 +12,10 @@ type t
 
 val create : Sim_disk.t -> name:string -> t
 
+val clone : t -> Sim_disk.t -> t
+(** The same store over [disk], a {!Sim_disk.clone} of this store's
+    disk, with its own copies of the page table and handle table. *)
+
 val append : t -> string -> int
 (** Store a string; returns its handle (a stable byte offset).
     Strings may span pages. *)

@@ -25,6 +25,8 @@ let create disk ~name ~fields =
     count = 0;
   }
 
+let clone t disk = { t with disk; page_table = Array.copy t.page_table }
+
 let name t = t.name
 let field_count t = t.fields
 let count t = t.count

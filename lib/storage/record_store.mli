@@ -13,6 +13,11 @@ val create : Sim_disk.t -> name:string -> fields:int -> t
 (** [fields] is the number of 8-byte slots per record; must satisfy
     [1 <= fields] and [fields * 8 <= page_size]. *)
 
+val clone : t -> Sim_disk.t -> t
+(** The same store over [disk], a {!Sim_disk.clone} of this store's
+    disk: the page table is copied, so the two stores grow
+    independently. *)
+
 val name : t -> string
 val field_count : t -> int
 

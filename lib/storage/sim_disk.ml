@@ -51,6 +51,18 @@ let create ?config ?(page_size = 8192) ?(pool_pages = 4096) ?checkpoint_dirty_pa
 
 let cost t = t.cost
 
+let clone t =
+  if t.crashed then invalid_arg "Sim_disk.clone: disk has crashed";
+  {
+    t with
+    cost = Cost_model.create ~config:(Cost_model.config t.cost) ();
+    pages = Array.map Bytes.copy t.pages;
+    state = Bytes.copy t.state;
+    prev = Array.copy t.prev;
+    next = Array.copy t.next;
+    faults = None;
+  }
+
 (* ---- fault injection ---- *)
 
 let arm_faults t plan =

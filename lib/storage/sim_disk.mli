@@ -35,6 +35,13 @@ val create :
     insertion time of edges is when the cache is full and has to
     flush to disk". *)
 
+val clone : t -> t
+(** A deep copy: every page's bytes and the whole pool state
+    (residency, LRU order, dirty flags), sharing no mutable structure
+    with [t]. The copy gets a fresh cost model with [t]'s
+    configuration (counters at zero) and no fault plan.
+    @raise Invalid_argument when [t] has crashed. *)
+
 val cost : t -> Cost_model.t
 val page_size : t -> int
 

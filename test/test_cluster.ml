@@ -1,8 +1,9 @@
 (* The replication cluster: WAL LSNs and suffix shipping, replay
    determinism, lag models, dropped-shipment resends, the
-   consistency-aware router (read-your-writes under every policy), and
-   the failover sweep — >= 30 seeded crash/promote runs that must lose
-   zero acknowledged commits. *)
+   consistency-aware router (read-your-writes under every policy),
+   base-backup replicas (a clone must equal a WAL-replayed replica),
+   and the failover sweep — >= 30 seeded crash/promote runs that must
+   lose zero acknowledged commits. *)
 
 module Value = Mgq_core.Value
 module Property = Mgq_core.Property
@@ -583,6 +584,229 @@ let test_failover_sweep () =
   check Alcotest.bool "some runs replayed a journaled tail" true (!tails > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Base-backup replicas                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Generator = Mgq_twitter.Generator
+module Dataset = Mgq_twitter.Dataset
+module Import_neo = Mgq_twitter.Import_neo
+module Stream = Mgq_twitter.Stream
+module Live_neo = Mgq_twitter.Live.Live_neo
+module Schema = Mgq_twitter.Schema
+module Catalog = Mgq_catalog.Catalog
+module Contexts = Mgq_queries.Contexts
+module Workload = Mgq_queries.Workload
+module Results = Mgq_queries.Results
+module Cypher = Mgq_cypher.Cypher
+module Executor = Mgq_cypher.Executor
+
+(* Denser activity than the default crawl, so the Table-2 queries have
+   rows at these small scales. *)
+let crawl ~seed ~n_users =
+  Generator.generate
+    {
+      (Generator.scaled ~seed ~n_users ()) with
+      Generator.active_fraction = 0.08;
+      tweets_per_active = 30;
+      mentions_per_tweet = 1.2;
+      tags_per_tweet = 0.8;
+    }
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+(* Everything a replica's answers derive from, part by part. Page
+   images are read through the pool, which moves only LRU order and
+   cost counters, neither of which is compared. *)
+let state_parts db =
+  let disk = Db.disk db in
+  let pages =
+    List.init (Sim_disk.page_count disk) (fun p -> Sim_disk.with_page_read disk p Bytes.to_string)
+  in
+  let wal =
+    match Db.wal db with
+    | None -> "none"
+    | Some w ->
+      Printf.sprintf "base %d last %d bytes %d" (Wal.base_lsn w) (Wal.last_lsn w)
+        (Wal.length_bytes w)
+  in
+  let labels = Db.labels db in
+  let index (label, property) =
+    if not (Db.has_index db ~label ~property) then label ^ " unindexed"
+    else
+      Db.nodes_with_label db label
+      |> Seq.map (fun n ->
+             let v = Db.node_property db n property in
+             Value.to_tsv v ^ "=" ^ ints (Db.index_lookup db ~label ~property v))
+      |> List.of_seq |> String.concat ";"
+  in
+  [
+    ("store pages", Digest.to_hex (Digest.string (String.concat "" pages)));
+    ("wal", wal);
+    ( "dictionaries",
+      String.concat "|" (List.map (String.concat ",") [ labels; Db.edge_types db; Db.property_keys db ])
+    );
+    ( "label scans",
+      String.concat "|"
+        (List.map (fun l -> l ^ ":" ^ ints (List.of_seq (Db.nodes_with_label db l))) labels) );
+    ( "indexes",
+      String.concat "|"
+        (List.map index
+           [ (Schema.user, Schema.uid); (Schema.tweet, Schema.tid); (Schema.hashtag, Schema.tag) ])
+    );
+    ("counts", Printf.sprintf "nodes %d edges %d" (Db.node_count db) (Db.edge_count db));
+    ("catalog", Printf.sprintf "epoch %d\n%s" (Db.stats_epoch db) (Catalog.dump (Db.stats db)));
+  ]
+
+let table2_params (a : Workload.args) =
+  [
+    ("uid", Value.Int a.Workload.uid);
+    ("u1", Value.Int a.Workload.uid);
+    ("u2", Value.Int a.Workload.uid2);
+    ("tag", Value.Str a.Workload.tag);
+    ("n", Value.Int a.Workload.n);
+    ("k", Value.Int a.Workload.threshold);
+  ]
+
+(* Every Table-2 answer through the core API and through Cypher under
+   both planners, with each Cypher text's PROFILE (rows and db hits
+   per operator). *)
+let answers (ctx : Contexts.neo) (d : Dataset.t) =
+  let n = d.Dataset.n_users in
+  let sessions =
+    [ ("heuristic", Cypher.Heuristic); ("cost", Cypher.Cost_based) ]
+    |> List.map (fun (name, planner) ->
+           (name, { ctx with Contexts.session = Cypher.create ~planner ctx.Contexts.db }))
+  in
+  let buf = Buffer.create 4096 in
+  let tags = d.Dataset.hashtags in
+  List.iter
+    (fun uid ->
+      let args =
+        {
+          Workload.default_args with
+          Workload.uid;
+          uid2 = (uid + (n / 3) + 1) mod n;
+          tag = (if Array.length tags = 0 then "topic0" else tags.(uid mod Array.length tags));
+        }
+      in
+      List.iter
+        (fun (q : Workload.query) ->
+          Printf.bprintf buf "%s uid=%d api %s\n" q.Workload.id uid
+            (Results.to_string (q.Workload.run_neo_api ctx args));
+          List.iter
+            (fun (name, ctx) ->
+              let r =
+                Cypher.run ~params:(table2_params args) ctx.Contexts.session
+                  ("PROFILE " ^ q.Workload.cypher_text args)
+              in
+              Printf.bprintf buf "%s uid=%d %s %s\n%s" q.Workload.id uid name
+                (Results.to_string (q.Workload.run_cypher ctx args))
+                (Executor.profile_to_string (Option.get r.Cypher.profile)))
+            sessions)
+        Workload.all)
+    [ 0; n / 2; n - 1 ];
+  Buffer.contents buf
+
+let first_difference a b =
+  List.find_map
+    (fun ((name, x), (_, y)) -> if String.equal x y then None else Some name)
+    (List.combine a b)
+
+type backup_case = { seed : int; users : int; before : int; after : int }
+
+(* Offsets from each field's minimum, so shrinking towards 0 stays in
+   range. *)
+let backup_case =
+  QCheck.map
+    ~rev:(fun c -> (c.seed, c.users - 12, c.before, c.after - 1))
+    (fun (seed, users, before, after) -> { seed; users = 12 + users; before; after = 1 + after })
+    QCheck.(quad (int_bound 10_000) (int_bound 28) (int_bound 30) (int_bound 29))
+  |> QCheck.set_print (fun c ->
+         Printf.sprintf "seed=%d users=%d events before=%d after=%d" c.seed c.users c.before
+           c.after)
+
+(* A cloned replica against one built by replaying the primary's whole
+   WAL: equal page images, log, dictionaries, label scans, indexes,
+   statistics and Table-2 answers, at the base backup and after later
+   commits ship to both. The source's own writes never reach the clone
+   except by shipping, and promoting the clone loses nothing. *)
+let base_backup_prop c =
+  let d = crawl ~seed:c.seed ~n_users:c.users in
+  let primary = Db.create () in
+  let report, users, tweets, hashtags = Import_neo.run primary d in
+  let live = Live_neo.attach primary ~users ~tweets ~hashtags d in
+  let stream = Stream.create ~seed:c.seed d in
+  List.iter (Live_neo.apply live) (Stream.take stream c.before);
+  let replayed =
+    Replica.create ~id:99 ~lag:Replica.Immediate ~drop_p:0. (Rng.create c.seed) (Db.create ())
+  in
+  let ship_replayed () =
+    ignore
+      (Wal.fold_frames_from (Option.get (Db.wal primary)) ~lsn:(Replica.received_lsn replayed)
+         (fun () ~lsn payload -> assert (Replica.receive replayed ~now:0 ~lsn payload))
+         ());
+    ignore (Replica.catch_up replayed : int)
+  in
+  ship_replayed ();
+  let cluster = Cluster.create ~config:(cluster_config ~replicas:1 ()) ~primary () in
+  let replica = (Cluster.replicas cluster).(0) in
+  let clone = Replica.db replica in
+  let ctx db = { Contexts.db; session = Cypher.create db; users; tweets; hashtags; report } in
+  let agree stage =
+    (match first_difference (state_parts clone) (state_parts (Replica.db replayed)) with
+    | Some part -> QCheck.Test.fail_reportf "%s: clone and replay differ in %s" stage part
+    | None -> ());
+    if answers (ctx clone) d <> answers (ctx (Replica.db replayed)) d then
+      QCheck.Test.fail_reportf "%s: clone and replay answer Table 2 differently" stage
+  in
+  let head = Cluster.head_lsn cluster in
+  if Replica.received_lsn replica <> head || Replica.applied_lsn replica <> head then
+    QCheck.Test.fail_reportf "clone starts at lsn %d/%d, head is %d" (Replica.received_lsn replica)
+      (Replica.applied_lsn replica) head;
+  agree "at the base backup";
+  let frozen = state_parts clone in
+  List.iter (Live_neo.apply live) (Stream.take stream c.after);
+  (match first_difference frozen (state_parts clone) with
+  | Some part -> QCheck.Test.fail_reportf "a write to the source changed the clone's %s" part
+  | None -> ());
+  Cluster.tick cluster;
+  ship_replayed ();
+  if Replica.applied_lsn replica <> Cluster.head_lsn cluster then
+    QCheck.Test.fail_reportf "clone applied %d of %d after shipping" (Replica.applied_lsn replica)
+      (Cluster.head_lsn cluster);
+  agree "after shipping";
+  let promotion = Cluster.promote cluster in
+  let recovered = Cluster.primary cluster in
+  if promotion.Cluster.lost_acked <> 0 || promotion.Cluster.stop <> Wal.Clean then
+    QCheck.Test.fail_reportf "promotion lost %d acked commits, scan %s" promotion.Cluster.lost_acked
+      (Wal.stop_to_string promotion.Cluster.stop);
+  if
+    Db.last_lsn recovered <> Replica.applied_lsn replayed
+    || snapshot_bytes recovered <> snapshot_bytes (Replica.db replayed)
+  then QCheck.Test.fail_report "recovery from the clone's log does not reproduce its applied prefix";
+  true
+
+let test_base_backup_equivalence =
+  QCheck.Test.make ~name:"clone = WAL replay: pages, indexes, stats, Table-2 answers" ~count:15
+    backup_case base_backup_prop
+
+let test_clone_of_empty () =
+  let cluster = Cluster.create ~config:(cluster_config ~replicas:2 ()) () in
+  Array.iter
+    (fun r ->
+      check Alcotest.int "empty replica" 0 (Db.node_count (Replica.db r));
+      check Alcotest.int "starts at lsn 0" 0 (Replica.applied_lsn r);
+      check Alcotest.int "no pages" 0 (Sim_disk.page_count (Db.disk (Replica.db r))))
+    (Cluster.replicas cluster);
+  let db = Db.create () in
+  Db.with_tx db (fun () ->
+      check Alcotest.bool "clone refuses an open transaction" true
+        (try
+           ignore (Db.clone db);
+           false
+         with Db.Tx_error _ -> true))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mgq_cluster"
@@ -624,6 +848,12 @@ let () =
           Alcotest.test_case "sticky" `Quick test_ryw_sticky;
           Alcotest.test_case "budget fallback to primary" `Quick
             test_budget_deadline_falls_back_to_primary;
+        ] );
+      ( "base-backup",
+        [
+          Alcotest.test_case "empty primary, open transaction" `Quick test_clone_of_empty;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            test_base_backup_equivalence;
         ] );
       ( "failover",
         [ Alcotest.test_case "32-run crash/promote sweep" `Slow test_failover_sweep ] );

@@ -186,9 +186,8 @@ let test_trace_exception_closes_span () =
 
 let small_dataset () = Generator.generate (Generator.scaled ~n_users:200 ())
 
-(* A one-replica cluster with the dataset imported on the primary and
-   fully shipped to the replica — the traced request path used by
-   [mgq query --trace]. *)
+(* A one-replica cluster built around a primary holding the imported
+   dataset — the traced request path used by [mgq query --trace]. *)
 let routed_cluster dataset =
   let config =
     {
@@ -199,12 +198,9 @@ let routed_cluster dataset =
       sync_replicas = 0;
     }
   in
-  let cluster = Cluster.create ~config () in
-  let report, users, tweets, hashtags = Import_neo.run (Cluster.primary cluster) dataset in
-  let replica = (Cluster.replicas cluster).(0) in
-  while Replica.applied_lsn replica < Cluster.head_lsn cluster do
-    Cluster.tick cluster
-  done;
+  let primary = Db.create () in
+  let report, users, tweets, hashtags = Import_neo.run primary dataset in
+  let cluster = Cluster.create ~config ~primary () in
   (cluster, fun db -> { Contexts.db; session = Cypher.create db; users; tweets; hashtags; report })
 
 let test_e2e_trace_spans_layers () =
