@@ -9,9 +9,9 @@
 
    N2 runs the full composed campaign — seeded network faults, a
    primary torn-write crash with failover, slowloris attackers, and a
-   resilient retrying client — and re-checks the campaign's own five
-   oracles as bench oracles, so a regression anywhere in the stack
-   fails the harness, not just `mgq chaos`. *)
+   resilient retrying client — and routes the campaign's own five
+   verdicts into the bench oracles, so a regression anywhere in the
+   stack fails the harness, not just `mgq chaos`. *)
 
 open Bench_support
 module App = Mgq_server.App
@@ -19,8 +19,6 @@ module Server = Mgq_server.Server
 module Loadgen = Mgq_server.Loadgen
 module Chaos = Mgq_server.Chaos
 module Router = Mgq_cluster.Router
-
-let fmt_ms_of_ns ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* N1: slowloris attackers vs per-request deadlines                    *)
@@ -126,14 +124,10 @@ let run_n2 () =
   List.iter (fun line -> Printf.printf "  %s\n" line) report.Chaos.measurements;
   table ~name:"n2_chaos_oracles" ~header:[ "oracle"; "verdict"; "detail" ]
     (List.map
-       (fun (v : Chaos.verdict) ->
-         [ v.Chaos.name; (if v.Chaos.passed then "PASS" else "FAIL"); v.Chaos.detail ])
+       (fun (v : Mgq_util.Verdict.t) ->
+         [ v.name; (if v.passed then "PASS" else "FAIL"); v.detail ])
        report.Chaos.verdicts);
-  List.iter
-    (fun (v : Chaos.verdict) ->
-      if not v.Chaos.passed then
-        record_failure "N2: oracle %s failed: %s" v.Chaos.name v.Chaos.detail)
-    report.Chaos.verdicts
+  check_verdicts "N2" report.Chaos.verdicts
 
 let run_chaos () =
   run_n1 ();

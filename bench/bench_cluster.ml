@@ -6,57 +6,16 @@
    policy accepts while still guaranteeing read-your-writes, and what
    a primary crash costs. The load-bearing oracles — zero
    acknowledged-commit loss on failover, zero read-your-writes
-   violations — are asserted via [record_failure], so a regression
-   fails the harness rather than decorating a table. *)
+   violations — are the {!Mgq_cluster.Drill} verdicts, routed into
+   [record_failure], so a regression fails the harness rather than
+   decorating a table. *)
 
 open Bench_support
 module Cluster = Mgq_cluster.Cluster
+module Drill = Mgq_cluster.Drill
 module Replica = Mgq_cluster.Replica
 module Router = Mgq_cluster.Router
 module Wal = Mgq_neo.Wal
-module Fault = Mgq_storage.Fault
-module Rng = Mgq_util.Rng
-module Budget = Mgq_util.Budget
-module Value = Mgq_core.Value
-module Property = Mgq_core.Property
-
-let props l = Property.of_list l
-
-(* A session-mixed workload against a cluster: each session owns one
-   marker node; writes bump its value, reads fetch it through the
-   router and verify read-your-writes (a stale read of your own
-   counter is an oracle failure, whatever the policy). Returns the
-   read-your-writes violation count. *)
-let run_workload cluster ~sessions ~steps ~write_ratio ~seed =
-  let rng = Rng.create seed in
-  let markers = Array.make sessions 0 in
-  let value = Array.make sessions 0 in
-  for sid = 0 to sessions - 1 do
-    let s = Cluster.session cluster sid in
-    markers.(sid) <-
-      Cluster.write cluster ~session:s (fun db ->
-          Db.create_node db ~label:"user" (props [ ("v", Value.Int 0) ]))
-  done;
-  let violations = ref 0 in
-  for i = 1 to steps do
-    let sid = Rng.int rng sessions in
-    let s = Cluster.session cluster sid in
-    if Rng.chance rng write_ratio then begin
-      Cluster.write cluster ~session:s (fun db ->
-          Db.set_node_property db markers.(sid) "v" (Value.Int i));
-      value.(sid) <- i
-    end
-    else begin
-      let v =
-        Cluster.read cluster
-          ~budget:(Budget.create ~max_ns:1_000_000_000 ())
-          ~session:s
-          (fun db -> Db.node_property db markers.(sid) "v")
-      in
-      if v <> Value.Int value.(sid) then incr violations
-    end
-  done;
-  !violations
 
 let run_scaleout () =
   section
@@ -76,12 +35,8 @@ let run_scaleout () =
           }
         in
         let cluster = Cluster.create ~config () in
-        let violations =
-          run_workload cluster ~sessions:8 ~steps ~write_ratio:0.1 ~seed:1
-        in
-        if violations > 0 then
-          record_failure "C1: %d read-your-writes violations at %d replicas"
-            violations n_replicas;
+        let run = Drill.sessions cluster ~sessions:8 ~steps ~write_ratio:0.1 ~seed:1 in
+        check_verdicts (Printf.sprintf "C1 (%d replicas)" n_replicas) run.Drill.verdicts;
         let router = Cluster.router cluster in
         let served = Router.served router in
         let replica_reads = Array.fold_left ( + ) 0 served in
@@ -126,12 +81,10 @@ let run_staleness () =
           }
         in
         let cluster = Cluster.create ~config () in
-        let violations =
-          run_workload cluster ~sessions:8 ~steps ~write_ratio:0.25 ~seed:2
-        in
-        if violations > 0 then
-          record_failure "C2: %d read-your-writes violations under %s" violations
-            (Router.policy_to_string policy);
+        let run = Drill.sessions cluster ~sessions:8 ~steps ~write_ratio:0.25 ~seed:2 in
+        check_verdicts
+          (Printf.sprintf "C2 (%s)" (Router.policy_to_string policy))
+          run.Drill.verdicts;
         let r = Cluster.router cluster in
         let st = Router.staleness r in
         [
@@ -151,87 +104,39 @@ let run_staleness () =
       [ "policy"; "staleness mean"; "p95"; "max"; "redirects"; "waits"; "fallbacks" ]
     rows
 
-(* One seeded crash/promote run; mirrors the test-suite sweep. *)
-let failover_trial seed =
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.replicas = 3;
-      seed;
-      lag = Replica.Latency { ticks = 1 };
-      drop_p = 0.1;
-      policy = Router.Least_lagged;
-    }
-  in
-  let cluster = Cluster.create ~config () in
-  let s = Cluster.session cluster 0 in
-  let rng = Rng.create (seed * 7919) in
-  Cluster.kill_primary cluster ~crash_at_write:(1 + Rng.int rng 300);
-  let acked = ref 0 in
-  let write i =
-    ignore
-      (Cluster.write cluster ~session:s (fun db ->
-           Db.create_node db ~label:"user" (props [ ("k", Value.Int i) ])))
-  in
-  (try
-     for i = 0 to 79 do
-       write i;
-       incr acked
-     done
-   with Fault.Torn_write _ | Fault.Crashed _ -> ());
-  if not (Cluster.primary_down cluster) then begin
-    Cluster.kill_primary cluster ~crash_at_write:1;
-    try write 999 with Fault.Torn_write _ | Fault.Crashed _ -> ()
-  end;
-  let p = Cluster.promote cluster in
-  if p.Cluster.lost_acked <> 0 then
-    record_failure "C3 seed %d: %d acknowledged commits lost" seed
-      p.Cluster.lost_acked;
-  if p.Cluster.stop <> Wal.Clean then
-    record_failure "C3 seed %d: promoted log scanned %s" seed
-      (Wal.stop_to_string p.Cluster.stop);
-  if Db.node_count (Cluster.primary cluster) < !acked then
-    record_failure "C3 seed %d: new primary holds %d nodes, %d were acked" seed
-      (Db.node_count (Cluster.primary cluster))
-      !acked;
-  (!acked, p)
-
 let run_failover () =
   section
     "C3: failover sweep\n\
      kill the primary at a seeded write, promote the most-advanced\n\
      replica; acknowledged commits lost must be zero in every trial";
   let trials = if !smoke then 6 else 30 in
-  let acked_total = ref 0 in
-  let lost_total = ref 0 in
-  let tail_total = ref 0 in
-  let clean = ref 0 in
+  let runs =
+    List.init trials (fun i ->
+        let t = Drill.failover_trial ~seed:(i + 1) in
+        check_verdicts (Printf.sprintf "C3 seed %d" (i + 1)) t.Drill.verdicts;
+        t)
+  in
+  let total f = string_of_int (List.fold_left (fun n t -> n + f t) 0 runs) in
+  let promoted f = total (fun t -> f t.Drill.promotion) in
   let downtime = Mgq_util.Stats.Summary.create () in
-  for seed = 1 to trials do
-    let acked, p = failover_trial seed in
-    acked_total := !acked_total + acked;
-    lost_total := !lost_total + p.Cluster.lost_acked;
-    tail_total := !tail_total + p.Cluster.tail_applied;
-    if p.Cluster.stop = Wal.Clean then incr clean;
-    Mgq_util.Stats.Summary.add downtime (float_of_int p.Cluster.downtime_ticks)
-  done;
+  List.iter
+    (fun t ->
+      Mgq_util.Stats.Summary.add downtime (float_of_int t.Drill.promotion.Cluster.downtime_ticks))
+    runs;
   table ~name:"cluster_failover"
     ~aligns:[ Text_table.Left; Right ]
     ~header:[ "metric"; "value" ]
     [
       [ "failover trials"; string_of_int trials ];
-      [ "acknowledged commits (total)"; string_of_int !acked_total ];
-      [ "acknowledged commits lost"; string_of_int !lost_total ];
-      [ "promoted logs scanning clean"; Printf.sprintf "%d/%d" !clean trials ];
-      [ "WAL tail frames replayed (total)"; string_of_int !tail_total ];
+      [ "acknowledged commits (total)"; total (fun t -> t.Drill.acked) ];
+      [ "acknowledged commits lost"; promoted (fun p -> p.Cluster.lost_acked) ];
       [
-        "mean downtime (ticks)";
-        Printf.sprintf "%.1f" (Mgq_util.Stats.Summary.mean downtime);
+        "promoted logs scanning clean";
+        promoted (fun p -> Bool.to_int (p.Cluster.stop = Wal.Clean)) ^ "/" ^ string_of_int trials;
       ];
-      [
-        "max downtime (ticks)";
-        Printf.sprintf "%.0f" (Mgq_util.Stats.Summary.max downtime);
-      ];
+      [ "WAL tail frames replayed (total)"; promoted (fun p -> p.Cluster.tail_applied) ];
+      [ "mean downtime (ticks)"; Printf.sprintf "%.1f" (Mgq_util.Stats.Summary.mean downtime) ];
+      [ "max downtime (ticks)"; Printf.sprintf "%.0f" (Mgq_util.Stats.Summary.max downtime) ];
     ]
 
 let run_cluster () =

@@ -40,13 +40,7 @@ let run_anomalies () =
      forbidden (%d seeds + %d crash runs)\n"
     bl.Audit.arm_committed bl.Audit.arm_forbidden si.Audit.arm_committed si.Audit.arm_conflicts
     si.Audit.arm_forbidden seeds si.Audit.arm_crash_runs;
-  if si.Audit.arm_forbidden > 0 then
-    record_failure "C4a: %d forbidden anomalies under snapshot isolation" si.Audit.arm_forbidden;
-  if bl.Audit.arm_forbidden = 0 then
-    record_failure "C4a: baseline arm found no anomalies (checker self-test failed)";
-  if si.Audit.arm_durability_failures > 0 || si.Audit.arm_catalog_leaks > 0 then
-    record_failure "C4a: %d durability failures, %d catalog leaks"
-      si.Audit.arm_durability_failures si.Audit.arm_catalog_leaks
+  check_verdicts "C4a" report.Audit.r_verdicts
 
 (* Overhead is measured on the paper's own workload: the versions-empty
    fast path must price reads exactly as before the MVCC layer, and an

@@ -11,7 +11,6 @@ open Bench_support
 module Cypher = Mgq_cypher.Cypher
 module Workload = Mgq_queries.Workload
 module Params = Mgq_queries.Params
-module Value = Mgq_core.Value
 
 let median sorted =
   match sorted with [] -> 1.0 | l -> List.nth l (List.length l / 2)
@@ -30,14 +29,7 @@ let run_estimator env =
     | [] -> 0
   in
   let params =
-    [
-      ("uid", Value.Int uid);
-      ("u1", Value.Int uid);
-      ("u2", Value.Int ((uid + 1) mod env.scale));
-      ("tag", Value.Str "topic0");
-      ("n", Value.Int 10);
-      ("k", Value.Int 10);
-    ]
+    Workload.params { Workload.default_args with uid; uid2 = (uid + 1) mod env.scale }
   in
   let all_errors = ref [] in
   let rows =

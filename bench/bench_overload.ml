@@ -27,8 +27,6 @@ module Value = Mgq_core.Value
 module Property = Mgq_core.Property
 
 let props l = Property.of_list l
-let fmt_rate r = Printf.sprintf "%.0f" r
-let fmt_ms_of_ns ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6)
 let fmt_pct x = Printf.sprintf "%.1f%%" (100. *. x)
 
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,6 @@ module Loadgen = Mgq_server.Loadgen
 module Router = Mgq_cluster.Router
 module Admission = Mgq_overload.Admission
 
-let fmt_rate r = Printf.sprintf "%.0f" r
-let fmt_ms_of_ns ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6)
-
 (* One in-process server on an ephemeral port, shared by a whole
    experiment. The token-bucket knee: requests/s admitted at the
    door; concurrency AIMD is parked high so the bucket is the binding

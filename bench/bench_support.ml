@@ -42,6 +42,14 @@ let record_failure fmt =
       failures := s :: !failures)
     fmt
 
+(* A campaign judges its own run; the bench routes every failed
+   verdict into [record_failure] rather than re-deriving it. *)
+let check_verdicts prefix verdicts =
+  List.iter
+    (fun (v : Mgq_util.Verdict.t) ->
+      if not v.passed then record_failure "%s: oracle %s failed: %s" prefix v.name v.detail)
+    verdicts
+
 let announce fmt = Printf.printf fmt
 
 let build_env ?(with_retweets = false) scale =
@@ -93,6 +101,9 @@ let fmt_meas m =
     Text_table.fmt_int m.db_hits;
     string_of_int m.result_cardinality;
   ]
+
+let fmt_rate r = Printf.sprintf "%.0f" r
+let fmt_ms_of_ns ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6)
 
 let section title =
   Printf.printf "\n================================================================\n";

@@ -52,13 +52,85 @@ let load_dataset dir =
   | Ok () -> dataset
   | Error msg -> failwith ("invalid source files: " ^ msg)
 
+let db_or_dir_args =
+  let dir_opt =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"TSV source directory to import from.")
+  in
+  let db_opt =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "db" ] ~docv:"FILE"
+          ~doc:"Saved record-store database (from $(b,mgq import --save)).")
+  in
+  (dir_opt, db_opt)
+
+let open_neo_db db dir =
+  match (db, dir) with
+  | Some path, _ -> Mgq_neo.Db.load path
+  | None, Some dir ->
+    let ctx = Contexts.build_neo (load_dataset dir) in
+    ctx.Contexts.db
+  | None, None -> failwith "pass --dir or --db"
+
+let save_neo_db database =
+  Option.iter (fun path ->
+      Mgq_neo.Db.save database path;
+      Printf.printf "saved database to %s\n" path)
+
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+
+let policy_arg =
+  let module Router = Mgq_cluster.Router in
+  let doc = "Routing policy: $(b,round-robin), $(b,least-lagged) or $(b,sticky)." in
+  let policies =
+    [
+      ("round-robin", Router.Round_robin);
+      ("least-lagged", Router.Least_lagged);
+      ("sticky", Router.Sticky);
+    ]
+  in
+  Arg.(value & opt (enum policies) Router.Round_robin & info [ "policy"; "p" ] ~doc)
+
+(* The Table-2 parameters [query] and [explain] accept. *)
+let workload_args =
+  let uid = Arg.(value & opt int 0 & info [ "uid" ] ~doc:"Seed user id.") in
+  let uid2 = Arg.(value & opt int 1 & info [ "uid2" ] ~doc:"Second user id (Q6.1).") in
+  let tag = Arg.(value & opt string "topic0" & info [ "tag" ] ~doc:"Seed hashtag (Q3.2).") in
+  let n = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Top-n limit.") in
+  let threshold = Arg.(value & opt int 10 & info [ "threshold" ] ~doc:"Q1.1 threshold.") in
+  let args uid uid2 tag n threshold = { Workload.uid; uid2; tag; n; threshold; max_hops = 3 } in
+  Term.(const args $ uid $ uid2 $ tag $ n $ threshold)
+
+(* ---------------- campaign verdicts ---------------- *)
+
+(* Every campaign ([audit], [chaos], [cluster]) ends here: print its
+   lines, write [report] (default: the same lines) to [report_file],
+   and exit 1 if any verdict failed. *)
+let finish ?report_file ~lines ?(report = lines) verdicts =
+  List.iter print_endline lines;
+  Option.iter
+    (fun file ->
+      let oc = open_out file in
+      List.iter (fun l -> output_string oc (l ^ "\n")) report;
+      close_out oc;
+      Printf.printf "report written to %s\n" file)
+    report_file;
+  List.iter
+    (fun (v : Mgq_util.Verdict.t) ->
+      if not v.passed then Printf.eprintf "mgq: oracle %s failed: %s\n" v.name v.detail)
+    verdicts;
+  if not (Mgq_util.Verdict.passed verdicts) then exit 1
+
 (* ---------------- generate ---------------- *)
 
 let generate_cmd =
   let users =
     Arg.(value & opt int 5000 & info [ "users"; "u" ] ~docv:"N" ~doc:"Number of users.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let out =
     Arg.(
       required
@@ -82,7 +154,7 @@ let generate_cmd =
       (Text_table.fmt_int (Source_files.total_bytes paths))
   in
   let info = Cmd.info "generate" ~doc:"Generate a synthetic Twitter crawl as TSV files." in
-  Cmd.v info Term.(const run $ users $ seed $ out $ retweets)
+  Cmd.v info Term.(const run $ users $ seed_arg $ out $ retweets)
 
 (* ---------------- stats ---------------- *)
 
@@ -174,11 +246,6 @@ let query_cmd =
       & opt (some string) None
       & info [ "id"; "q" ] ~docv:"QID" ~doc:"Workload query id (Q1.1 .. Q6.1).")
   in
-  let uid = Arg.(value & opt int 0 & info [ "uid" ] ~doc:"Seed user id.") in
-  let uid2 = Arg.(value & opt int 1 & info [ "uid2" ] ~doc:"Second user id (Q6.1).") in
-  let tag = Arg.(value & opt string "topic0" & info [ "tag" ] ~doc:"Seed hashtag (Q3.2).") in
-  let n = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Top-n limit.") in
-  let threshold = Arg.(value & opt int 10 & info [ "threshold" ] ~doc:"Q1.1 threshold.") in
   let system =
     Arg.(
       value
@@ -217,7 +284,7 @@ let query_cmd =
         | `Cypher -> q.Workload.run_cypher ctx args
         | `Neo_api -> q.Workload.run_neo_api ctx args)
   in
-  let run dir id uid uid2 tag n threshold system trace =
+  let run dir id args system trace =
     match Workload.find id with
     | None ->
       Printf.eprintf "unknown query %s; known: %s\n" id
@@ -225,7 +292,6 @@ let query_cmd =
       exit 2
     | Some q ->
       let dataset = load_dataset dir in
-      let args = { Workload.uid; uid2; tag; n; threshold; max_hops = 3 } in
       let result =
         match system with
         | `Cypher when trace -> run_routed dataset q args `Cypher
@@ -244,9 +310,7 @@ let query_cmd =
   in
   let info = Cmd.info "query" ~doc:"Run one workload query against an engine." in
   Cmd.v info
-    Term.(
-      const run $ dir_arg $ id_arg $ uid $ uid2 $ tag $ n $ threshold $ system
-      $ trace_arg)
+    Term.(const run $ dir_arg $ id_arg $ workload_args $ system $ trace_arg)
 
 (* ---------------- cypher ---------------- *)
 
@@ -257,19 +321,7 @@ let cypher_cmd =
   let explain =
     Arg.(value & flag & info [ "explain" ] ~doc:"Print the plan instead of executing.")
   in
-  let dir_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"TSV source directory to import from.")
-  in
-  let db_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:"Saved record-store database (from $(b,mgq import --save)).")
-  in
+  let dir_opt, db_opt = db_or_dir_args in
   let save_opt =
     Arg.(
       value
@@ -277,14 +329,7 @@ let cypher_cmd =
       & info [ "save" ] ~docv:"FILE" ~doc:"Persist the database after the query (for writes).")
   in
   let run dir db save text explain trace =
-    let database =
-      match (db, dir) with
-      | Some path, _ -> Mgq_neo.Db.load path
-      | None, Some dir ->
-        let ctx = Contexts.build_neo (load_dataset dir) in
-        ctx.Contexts.db
-      | None, None -> failwith "cypher: pass --dir or --db"
-    in
+    let database = open_neo_db db dir in
     let session = Cypher.create database in
     if explain then print_endline (Cypher.explain session text)
     else begin
@@ -301,11 +346,7 @@ let cypher_cmd =
           u.Mgq_cypher.Executor.properties_set u.Mgq_cypher.Executor.nodes_deleted
           u.Mgq_cypher.Executor.edges_deleted
     end;
-    match save with
-    | Some path ->
-      Mgq_neo.Db.save database path;
-      Printf.printf "saved database to %s\n" path
-    | None -> ()
+    save_neo_db database save
   in
   let info =
     Cmd.info "cypher"
@@ -316,30 +357,6 @@ let cypher_cmd =
   Cmd.v info Term.(const run $ dir_opt $ db_opt $ save_opt $ text_arg $ explain $ trace_arg)
 
 (* ---------------- analyze ---------------- *)
-
-let db_or_dir_args =
-  let dir_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"TSV source directory to import from.")
-  in
-  let db_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:"Saved record-store database (from $(b,mgq import --save)).")
-  in
-  (dir_opt, db_opt)
-
-let open_neo_db db dir =
-  match (db, dir) with
-  | Some path, _ -> Mgq_neo.Db.load path
-  | None, Some dir ->
-    let ctx = Contexts.build_neo (load_dataset dir) in
-    ctx.Contexts.db
-  | None, None -> failwith "pass --dir or --db"
 
 let analyze_cmd =
   let dir_opt, db_opt = db_or_dir_args in
@@ -354,11 +371,7 @@ let analyze_cmd =
     Mgq_neo.Db.analyze database;
     print_string (Mgq_catalog.Catalog.render (Mgq_neo.Db.stats database));
     Printf.printf "stats epoch: %d\n" (Mgq_neo.Db.stats_epoch database);
-    match save with
-    | Some path ->
-      Mgq_neo.Db.save database path;
-      Printf.printf "saved database to %s\n" path
-    | None -> ()
+    save_neo_db database save
   in
   let info =
     Cmd.info "analyze"
@@ -396,25 +409,9 @@ let explain_cmd =
           Cypher.Cost_based
       & info [ "planner" ] ~doc)
   in
-  let uid = Arg.(value & opt int 0 & info [ "uid" ] ~doc:"Seed user id.") in
-  let uid2 = Arg.(value & opt int 1 & info [ "uid2" ] ~doc:"Second user id (Q6.1).") in
-  let tag = Arg.(value & opt string "topic0" & info [ "tag" ] ~doc:"Seed hashtag (Q3.2).") in
-  let n = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Top-n limit.") in
-  let threshold = Arg.(value & opt int 10 & info [ "threshold" ] ~doc:"Q1.1 threshold.") in
-  let run dir db text workload analyze planner uid uid2 tag n threshold =
-    let module Value = Mgq_core.Value in
-    let database = open_neo_db db dir in
-    let session = Cypher.create ~planner database in
-    let params =
-      [
-        ("uid", Value.Int uid);
-        ("u1", Value.Int uid);
-        ("u2", Value.Int uid2);
-        ("tag", Value.Str tag);
-        ("n", Value.Int n);
-        ("k", Value.Int threshold);
-      ]
-    in
+  let run dir db text workload analyze planner args =
+    let session = Cypher.create ~planner (open_neo_db db dir) in
+    let params = Workload.params args in
     let explain_one text =
       if analyze then begin
         let entries = Cypher.explain_analyze ~params session text in
@@ -468,7 +465,7 @@ let explain_cmd =
   Cmd.v info
     Term.(
       const run $ dir_opt $ db_opt $ text_opt $ workload_flag $ analyze_flag $ planner_arg
-      $ uid $ uid2 $ tag $ n $ threshold)
+      $ workload_args)
 
 (* ---------------- sparksee-style load script ---------------- *)
 
@@ -499,25 +496,8 @@ let cluster_cmd =
   let module Cluster = Mgq_cluster.Cluster in
   let module Replica = Mgq_cluster.Replica in
   let module Router = Mgq_cluster.Router in
-  let module Db = Mgq_neo.Db in
-  let module Value = Mgq_core.Value in
-  let module Property = Mgq_core.Property in
   let replicas =
     Arg.(value & opt int 3 & info [ "replicas"; "r" ] ~docv:"N" ~doc:"Read replicas.")
-  in
-  let policy =
-    let doc = "Routing policy: $(b,round-robin), $(b,least-lagged) or $(b,sticky)." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("round-robin", Router.Round_robin);
-               ("least-lagged", Router.Least_lagged);
-               ("sticky", Router.Sticky);
-             ])
-          Router.Round_robin
-      & info [ "policy"; "p" ] ~doc)
   in
   let lag =
     let parse s =
@@ -558,7 +538,6 @@ let cluster_cmd =
       value & opt float 0.25
       & info [ "write-ratio" ] ~docv:"P" ~doc:"Fraction of steps that are writes.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let failover =
     Arg.(
       value & flag
@@ -578,99 +557,65 @@ let cluster_cmd =
       }
     in
     let cluster = Cluster.create ~config () in
-    let rng = Mgq_util.Rng.create seed in
-    let markers = Array.make sessions 0 in
-    let value = Array.make sessions 0 in
-    for sid = 0 to sessions - 1 do
-      let s = Cluster.session cluster sid in
-      markers.(sid) <-
-        Cluster.write cluster ~session:s (fun db ->
-            Db.create_node db ~label:"user" (Property.of_list [ ("v", Value.Int 0) ]))
-    done;
-    let stale = ref 0 in
-    let crash_step = if failover then steps / 2 else -1 in
-    let step i =
-      let sid = Mgq_util.Rng.int rng sessions in
-      let s = Cluster.session cluster sid in
-      if Mgq_util.Rng.chance rng write_ratio then begin
-        Cluster.write cluster ~session:s (fun db ->
-            Db.set_node_property db markers.(sid) "v" (Value.Int i));
-        value.(sid) <- i
-      end
-      else
-        let v =
-          Cluster.read cluster
-            ~budget:(Mgq_util.Budget.create ~max_ns:1_000_000_000 ())
-            ~session:s
-            (fun db -> Db.node_property db markers.(sid) "v")
-        in
-        if v <> Value.Int value.(sid) then incr stale
+    let run =
+      Mgq_cluster.Drill.sessions ~failover cluster ~sessions ~steps ~write_ratio ~seed
     in
-    let i = ref 1 in
-    while !i <= steps do
-      if !i = crash_step then
-        Cluster.kill_primary cluster ~crash_at_write:(1 + Mgq_util.Rng.int rng 50);
-      (try step !i with
-      | Mgq_storage.Fault.Torn_write _ | Mgq_storage.Fault.Crashed _ ->
-        let p = Cluster.promote cluster in
-        Printf.printf
-          "primary crashed at step %d: promoted replica %d (tail %d frames, log %s, \
-           %d acked commits lost, %d ticks down)\n"
-          !i p.Cluster.new_primary p.Cluster.tail_applied
-          (Mgq_neo.Wal.stop_to_string p.Cluster.stop)
-          p.Cluster.lost_acked p.Cluster.downtime_ticks);
-      incr i
-    done;
     let router = Cluster.router cluster in
-    Printf.printf "cluster: %d replicas, %s routing, lag %s, drop %.2f, quorum %d\n"
-      (Array.length (Cluster.replicas cluster))
-      (Router.policy_to_string policy) (Replica.lag_to_string lag) drop sync;
-    Printf.printf
-      "workload: %d steps over %d sessions; head lsn %d, acked lsn %d, %d ticks, \
-       epoch %d\n"
-      steps sessions (Cluster.head_lsn cluster) (Cluster.acked_lsn cluster)
-      (Cluster.now cluster) (Cluster.epoch cluster);
-    Text_table.print
-      ~aligns:[ Text_table.Left; Text_table.Right ]
-      ~header:[ "routing"; "count" ]
-      ([
-         [ "reads via replicas"; string_of_int (Array.fold_left ( + ) 0 (Router.served router)) ];
-         [ "reads via primary"; string_of_int (Router.primary_served router) ];
-         [ "redirects"; string_of_int (Router.redirects router) ];
-         [ "wait ticks"; string_of_int (Router.waits router) ];
-         [ "primary fallbacks"; string_of_int (Router.fallbacks router) ];
-         [ "stale reads of own writes"; string_of_int !stale ];
-       ]
-      @
-      let st = Router.staleness router in
-      if Mgq_util.Stats.Summary.count st = 0 then []
-      else
-        [
-          [
-            "replica staleness mean/max (frames)";
-            Printf.sprintf "%.2f / %.0f"
-              (Mgq_util.Stats.Summary.mean st)
-              (Mgq_util.Stats.Summary.max st);
-          ];
-        ]);
-    Text_table.print
-      ~aligns:[ Text_table.Right; Right; Right; Right; Right ]
-      ~header:[ "replica"; "received"; "applied"; "drops"; "apply faults" ]
-      (Array.to_list
-         (Array.map
-            (fun r ->
+    (* Text_table renders a trailing newline; print_endline adds it back. *)
+    let table ~aligns ~header rows = String.trim (Text_table.render ~aligns ~header rows) in
+    let lines =
+      List.map
+        (fun (step, (p : Cluster.promotion)) ->
+          Printf.sprintf
+            "primary crashed at step %d: promoted replica %d (tail %d frames, log %s, %d \
+             acked commits lost, %d ticks down)"
+            step p.new_primary p.tail_applied
+            (Mgq_neo.Wal.stop_to_string p.stop)
+            p.lost_acked p.downtime_ticks)
+        run.promotions
+      @ [
+          Printf.sprintf "cluster: %d replicas, %s routing, lag %s, drop %.2f, quorum %d"
+            (Array.length (Cluster.replicas cluster))
+            (Router.policy_to_string policy) (Replica.lag_to_string lag) drop sync;
+          Printf.sprintf
+            "workload: %d steps over %d sessions; head lsn %d, acked lsn %d, %d ticks, epoch \
+             %d"
+            steps sessions (Cluster.head_lsn cluster) (Cluster.acked_lsn cluster)
+            (Cluster.now cluster) (Cluster.epoch cluster);
+          table
+            ~aligns:[ Text_table.Left; Text_table.Right ]
+            ~header:[ "routing"; "count" ]
+            ([
+               [ "reads via replicas"; string_of_int (Array.fold_left ( + ) 0 (Router.served router)) ];
+               [ "reads via primary"; string_of_int (Router.primary_served router) ];
+               [ "redirects"; string_of_int (Router.redirects router) ];
+               [ "wait ticks"; string_of_int (Router.waits router) ];
+               [ "primary fallbacks"; string_of_int (Router.fallbacks router) ];
+               [ "stale reads of own writes"; string_of_int run.stale ];
+             ]
+            @
+            let st = Router.staleness router in
+            if Mgq_util.Stats.Summary.count st = 0 then []
+            else
               [
-                string_of_int (Replica.id r);
-                string_of_int (Replica.received_lsn r);
-                string_of_int (Replica.applied_lsn r);
-                string_of_int (Replica.drops r);
-                string_of_int (Replica.apply_faults r);
-              ])
-            (Cluster.replicas cluster)));
-    if !stale > 0 then begin
-      Printf.printf "ERROR: read-your-writes violated %d times\n" !stale;
-      exit 1
-    end
+                [
+                  "replica staleness mean/max (frames)";
+                  Printf.sprintf "%.2f / %.0f"
+                    (Mgq_util.Stats.Summary.mean st)
+                    (Mgq_util.Stats.Summary.max st);
+                ];
+              ]);
+          table
+            ~aligns:[ Text_table.Right; Right; Right; Right; Right ]
+            ~header:[ "replica"; "received"; "applied"; "drops"; "apply faults" ]
+            (List.map
+               (fun r ->
+                 List.map string_of_int
+                   Replica.[ id r; received_lsn r; applied_lsn r; drops r; apply_faults r ])
+               (Array.to_list (Cluster.replicas cluster)));
+        ]
+    in
+    finish ~lines run.verdicts
   in
   let info =
     Cmd.info "cluster"
@@ -680,8 +625,8 @@ let cluster_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ replicas $ policy $ lag $ drop $ sync $ sessions $ steps
-      $ write_ratio $ seed $ failover)
+      const run $ replicas $ policy_arg $ lag $ drop $ sync $ sessions $ steps
+      $ write_ratio $ seed_arg $ failover)
 
 (* ---------------- serve ---------------- *)
 
@@ -720,20 +665,6 @@ let serve_cmd =
   let replicas =
     Arg.(value & opt int 1 & info [ "replicas"; "r" ] ~docv:"N" ~doc:"Read replicas.")
   in
-  let policy =
-    let doc = "Routing policy: $(b,round-robin), $(b,least-lagged) or $(b,sticky)." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("round-robin", Router.Round_robin);
-               ("least-lagged", Router.Least_lagged);
-               ("sticky", Router.Sticky);
-             ])
-          Router.Round_robin
-      & info [ "policy"; "p" ] ~doc)
-  in
   let rate =
     Arg.(
       value & opt float 0.
@@ -758,7 +689,6 @@ let serve_cmd =
       & info [ "duration" ] ~docv:"MS"
           ~doc:"Stop (gracefully) after this many milliseconds. 0 = run until SIGINT/SIGTERM.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let run dir_opt users host port workers replicas policy rate burst no_admission
       duration_ms seed =
     let dataset =
@@ -820,8 +750,8 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ dir_opt $ users $ host $ port $ workers $ replicas $ policy $ rate
-      $ burst $ no_admission $ duration_ms $ seed)
+      const run $ dir_opt $ users $ host $ port $ workers $ replicas $ policy_arg $ rate
+      $ burst $ no_admission $ duration_ms $ seed_arg)
 
 (* ---------------- loadgen ---------------- *)
 
@@ -876,7 +806,6 @@ let loadgen_cmd =
       value & opt int 100
       & info [ "uids" ] ~docv:"N" ~doc:"Target user ids drawn uniformly from [0, N).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let retry_attempts =
     Arg.(
       value & opt int 0
@@ -959,13 +888,12 @@ let loadgen_cmd =
   Cmd.v info
     Term.(
       const run $ host $ port $ rate $ duration_ms $ connections $ mode $ no_keep_alive
-      $ slo_ms $ deadline_ms $ uids $ seed $ retry_attempts)
+      $ slo_ms $ deadline_ms $ uids $ seed_arg $ retry_attempts)
 
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
   let module Chaos = Mgq_server.Chaos in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let users =
     Arg.(
       value & opt (some int) None
@@ -1012,19 +940,14 @@ let chaos_cmd =
       }
     in
     let report = Chaos.run config in
-    List.iter print_endline report.Chaos.lines;
-    if verbose then begin
-      print_endline "-- measurements (wall-clock, not part of the determinism contract)";
-      List.iter print_endline report.Chaos.measurements
-    end;
-    (match report_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      List.iter (fun l -> output_string oc (l ^ "\n")) report.Chaos.lines;
-      close_out oc;
-      Printf.printf "report written to %s\n" file);
-    if not report.Chaos.passed then exit 1
+    let measurements =
+      if verbose then
+        "-- measurements (wall-clock, not part of the determinism contract)"
+        :: report.Chaos.measurements
+      else []
+    in
+    finish ?report_file ~lines:(report.Chaos.lines @ measurements) ~report:report.Chaos.lines
+      report.Chaos.verdicts
   in
   let info =
     Cmd.info "chaos"
@@ -1035,7 +958,7 @@ let chaos_cmd =
          oracles. Exits non-zero if any oracle fails."
   in
   Cmd.v info
-    Term.(const run $ seed $ users $ rate $ smoke $ no_failover $ report_file $ verbose)
+    Term.(const run $ seed_arg $ users $ rate $ smoke $ no_failover $ report_file $ verbose)
 
 (* ---------------- workload listing ---------------- *)
 
@@ -1074,7 +997,6 @@ let overload_cmd =
       & info [ "slo" ] ~docv:"MS"
           ~doc:"End-to-end latency a completion must meet to count as goodput.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let no_admission =
     Arg.(
       value & flag
@@ -1142,7 +1064,7 @@ let overload_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ rate $ duration_ms $ workers $ slo_ms $ seed $ no_admission $ compare)
+      const run $ rate $ duration_ms $ workers $ slo_ms $ seed_arg $ no_admission $ compare)
 
 (* ---------------- metrics ---------------- *)
 
@@ -1242,24 +1164,14 @@ let audit_cmd =
     let report =
       Audit.run ~seeds ~sessions ~txns_per_session:txns ~ops_per_txn:ops ~registers ()
     in
-    (match report_file with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Audit.to_text report);
-      close_out oc;
-      Printf.printf "report written to %s\n" path
-    | None -> ());
-    if smoke then begin
-      (* Summary lines only: everything after the per-seed detail. *)
-      let tail =
-        List.filter
-          (fun l -> not (String.length l > 1 && l.[0] = ' '))
-          report.Audit.r_lines
-      in
-      List.iter print_endline tail
-    end
-    else List.iter print_endline report.Audit.r_lines;
-    if not report.Audit.r_passed then exit 1
+    (* --smoke prints the summary lines only: everything after the
+       per-seed detail. *)
+    let lines =
+      if smoke then
+        List.filter (fun l -> not (String.length l > 1 && l.[0] = ' ')) report.Audit.r_lines
+      else report.Audit.r_lines
+    in
+    finish ?report_file ~lines ~report:report.Audit.r_lines report.Audit.r_verdicts
   in
   let info =
     Cmd.info "audit"

@@ -4,6 +4,7 @@ module Cluster = Mgq_cluster.Cluster
 module Fault = Mgq_storage.Fault
 module Value = Mgq_core.Value
 module Property = Mgq_core.Property
+module Verdict = Mgq_util.Verdict
 
 type arm = {
   arm_isolation : Db.isolation;
@@ -22,10 +23,8 @@ type arm = {
 type report = {
   r_si : arm;
   r_baseline : arm option;
-  r_failover_runs : int;
   r_failover_lost : int;
-  r_failover_failures : int;
-  r_passed : bool;
+  r_verdicts : Verdict.t list;
   r_lines : string list;
 }
 
@@ -266,24 +265,33 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
   arm_line "snapshot-isolation" si;
   Option.iter (arm_line "baseline") bl;
   if failover then line "failover: runs=%d lost_acked=%d failures=%d" failover_runs !lost !fo_failures;
-  (* The baseline arm is the harness self-test: with isolation off it
-     must actually catch anomalies, or a green SI arm proves nothing. *)
-  let baseline_ok = match bl with None -> true | Some b -> b.arm_forbidden > 0 in
-  let passed =
-    si.arm_forbidden = 0
-    && si.arm_durability_failures = 0
-    && si.arm_catalog_leaks = 0
-    && si.arm_snapshot_failures = 0
-    && !lost = 0 && !fo_failures = 0 && baseline_ok
+  let none name n what = { Verdict.name; passed = n = 0; detail = Printf.sprintf "%d %s" n what } in
+  let verdicts =
+    [
+      none "no-forbidden-anomaly" si.arm_forbidden "forbidden anomalies under snapshot isolation";
+      none "durable" si.arm_durability_failures "durability failures";
+      none "no-catalog-leak" si.arm_catalog_leaks "catalog leaks";
+      none "snapshot-round-trip" si.arm_snapshot_failures "snapshot round-trip failures";
+      {
+        Verdict.name = "failover-lost-nothing";
+        passed = !lost = 0 && !fo_failures = 0;
+        detail = Printf.sprintf "%d acked commits lost, %d failed probes" !lost !fo_failures;
+      };
+      (* The baseline arm is the harness self-test: with isolation off it
+         must actually catch anomalies, or a green SI arm proves nothing. *)
+      {
+        Verdict.name = "baseline-self-test";
+        passed = (match bl with None -> true | Some b -> b.arm_forbidden > 0);
+        detail = "the read-uncommitted arm must find forbidden anomalies";
+      };
+    ]
   in
-  line "verdict: %s" (if passed then "PASS" else "FAIL");
+  line "verdict: %s" (if Verdict.passed verdicts then "PASS" else "FAIL");
   {
     r_si = si;
     r_baseline = bl;
-    r_failover_runs = failover_runs;
     r_failover_lost = !lost;
-    r_failover_failures = !fo_failures;
-    r_passed = passed;
+    r_verdicts = verdicts;
     r_lines = List.rev !out;
   }
 

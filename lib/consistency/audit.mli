@@ -46,10 +46,14 @@ type arm = {
 type report = {
   r_si : arm;
   r_baseline : arm option;
-  r_failover_runs : int;
   r_failover_lost : int;  (** total [lost_acked] across failovers *)
-  r_failover_failures : int;
-  r_passed : bool;
+  r_verdicts : Mgq_util.Verdict.t list;
+      (** one per oracle, in order: [no-forbidden-anomaly],
+          [durable], [no-catalog-leak], [snapshot-round-trip] (the
+          snapshot-isolation arm), [failover-lost-nothing] (no acked
+          commit lost, no failed probe) and [baseline-self-test] (the
+          read-uncommitted arm found anomalies); a disabled arm's
+          verdict passes *)
   r_lines : string list;  (** the human-readable report, in order *)
 }
 

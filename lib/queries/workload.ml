@@ -14,6 +14,17 @@ type args = {
 
 let default_args = { uid = 0; uid2 = 1; tag = "topic0"; n = 10; threshold = 10; max_hops = 3 }
 
+let params a =
+  let module Value = Mgq_core.Value in
+  [
+    ("uid", Value.Int a.uid);
+    ("u1", Value.Int a.uid);
+    ("u2", Value.Int a.uid2);
+    ("tag", Value.Str a.tag);
+    ("n", Value.Int a.n);
+    ("k", Value.Int a.threshold);
+  ]
+
 type query = {
   id : string;
   category : string;

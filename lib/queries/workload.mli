@@ -18,6 +18,11 @@ type args = {
 
 val default_args : args
 
+val params : args -> (string * Mgq_core.Value.t) list
+(** Every parameter a Table-2 Cypher text may take ([$uid], [$u1],
+    [$u2], [$tag], [$n], [$k]); a text ignores the ones it does not
+    use. *)
+
 type query = {
   id : string;  (** "Q3.1" *)
   category : string;  (** Table 2's category column *)

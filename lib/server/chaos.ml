@@ -99,11 +99,10 @@ let smoke_config =
     writes = 20;
   }
 
-type verdict = { name : string; passed : bool; detail : string }
+module Verdict = Mgq_util.Verdict
 
 type report = {
-  verdicts : verdict list;
-  passed : bool;
+  verdicts : Verdict.t list;
   lines : string list;  (* deterministic: config + schedule + verdicts *)
   measurements : string list;  (* wall-clock-shaped diagnostics *)
 }
@@ -133,9 +132,10 @@ let slowloris ~host ~port ~gap_s ~give_up_s =
     let buf = Bytes.create 4096 in
     let i = ref 0 in
     let result = ref None in
-    while !result = None && now_ns () < deadline do
-      (* Answer ready? The 408 arrives while we are mid-drip. *)
-      (match Unix.select [ fd ] [] [] gap_s with
+    (* Poll [timeout] seconds for the server's answer; [silent] is the
+       outcome when none arrives. *)
+    let poll timeout ~silent =
+      match Unix.select [ fd ] [] [] timeout with
       | [ _ ], _, _ -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
         | 0 -> result := Some `Closed
@@ -145,9 +145,12 @@ let slowloris ~host ~port ~gap_s ~give_up_s =
             Some
               (if String.length s >= 12 && String.sub s 9 3 = "408" then `Evicted_408
                else `Other_response)
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          result := Some `Reset)
-      | _ -> ());
+        | exception Unix.Unix_error _ -> result := Some `Reset)
+      | _ -> result := silent
+    in
+    while !result = None && now_ns () < deadline do
+      (* Answer ready? The 408 arrives while we are mid-drip. *)
+      poll gap_s ~silent:None;
       if !result = None then begin
         let c = payload.[!i mod String.length payload] in
         (* Never complete the header section: skip the terminator. *)
@@ -157,18 +160,7 @@ let slowloris ~host ~port ~gap_s ~give_up_s =
         | _ -> ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           (* The server already hung up; one last poll for the 408. *)
-          (match Unix.select [ fd ] [] [] 0.2 with
-          | [ _ ], _, _ -> (
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> result := Some `Closed
-            | n ->
-              let s = Bytes.sub_string buf 0 n in
-              result :=
-                Some
-                  (if String.length s >= 12 && String.sub s 9 3 = "408" then `Evicted_408
-                   else `Other_response)
-            | exception _ -> result := Some `Reset)
-          | _ -> result := Some `Reset)
+          poll 0.2 ~silent:(Some `Reset)
       end
     done;
     finish (match !result with Some o -> o | None -> `Still_connected)
@@ -325,7 +317,7 @@ let run config =
   Server.stop server;
   (* -------------------------- oracles ----------------------------- *)
   let verdicts = ref [] in
-  let oracle name passed detail = verdicts := { name; passed; detail } :: !verdicts in
+  let oracle name passed detail = verdicts := { Verdict.name; passed; detail } :: !verdicts in
   (* 1: no acked write lost across the kill + failover. *)
   (if not config.failover then
      oracle "no-acked-write-lost" true "failover disabled; nothing to lose"
@@ -381,10 +373,10 @@ let run config =
     (Printf.sprintf "%d/%d attackers saw a 408; server recorded %d timeout evictions"
        evicted_408 config.attackers timeouts_during_fault);
   let verdicts = List.rev !verdicts in
-  List.iter (fun v -> line "oracle %s: %s" v.name (if v.passed then "PASS" else "FAIL"))
+  List.iter
+    (fun (v : Verdict.t) -> line "oracle %s: %s" v.name (if v.passed then "PASS" else "FAIL"))
     verdicts;
-  let passed = List.for_all (fun (v : verdict) -> v.passed) verdicts in
-  line "campaign: %s" (if passed then "PASS" else "FAIL");
+  line "campaign: %s" (if Verdict.passed verdicts then "PASS" else "FAIL");
   (* Wall-clock diagnostics, outside the deterministic section. *)
   List.iter
     (fun (label, (r : Loadgen.report)) ->
@@ -400,5 +392,5 @@ let run config =
   measure "sim_net: conns=%d sends=%d recvs=%d resets_injected=%d first_byte_delays=%d"
     net_stats.Sim_net.conns net_stats.sends net_stats.recvs net_stats.resets_injected
     net_stats.first_byte_delays;
-  List.iter (fun v -> measure "oracle %s: %s" v.name v.detail) verdicts;
-  { verdicts; passed; lines = List.rev !lines; measurements = List.rev !meas }
+  List.iter (fun (v : Verdict.t) -> measure "oracle %s: %s" v.name v.detail) verdicts;
+  { verdicts; lines = List.rev !lines; measurements = List.rev !meas }

@@ -36,11 +36,8 @@ val default_config : config
 val smoke_config : config
 (** CI-sized: ~1.7 s of load, same fault mix. *)
 
-type verdict = { name : string; passed : bool; detail : string }
-
 type report = {
-  verdicts : verdict list;
-  passed : bool;
+  verdicts : Mgq_util.Verdict.t list;  (** the five oracles, in order *)
   lines : string list;
       (** Deterministic given the config: echoed parameters, the
           seed-derived fault schedule, and PASS/FAIL verdicts. Two

@@ -16,6 +16,7 @@ module Rng = Mgq_util.Rng
 module Replica = Mgq_cluster.Replica
 module Router = Mgq_cluster.Router
 module Cluster = Mgq_cluster.Cluster
+module Drill = Mgq_cluster.Drill
 
 let check = Alcotest.check
 
@@ -482,6 +483,29 @@ let ryw_under policy =
   check Alcotest.bool "some reads landed on replicas" true
     (Array.fold_left ( + ) 0 (Router.served router) > 0)
 
+(* The [mgq cluster --failover] drill under every policy: the session
+   workload with the primary killed mid-run and a replica promoted.
+   Both verdicts (read-your-writes, no acked commit lost) must pass. *)
+let test_drill_failover () =
+  List.iter
+    (fun policy ->
+      let config = cluster_config ~policy ~lag:(Replica.Latency { ticks = 2 }) ~drop_p:0.05 () in
+      let run =
+        Drill.sessions ~failover:true (Cluster.create ~config ()) ~sessions:8 ~steps:500
+          ~write_ratio:0.25 ~seed:42
+      in
+      let name = Router.policy_to_string policy in
+      check Alcotest.int (name ^ ": one promotion") 1 (List.length run.Drill.promotions);
+      check
+        Alcotest.(list string)
+        (name ^ ": verdicts")
+        [ "read-your-writes"; "no-acked-commit-lost" ]
+        (List.map (fun (v : Mgq_util.Verdict.t) -> v.name) run.Drill.verdicts);
+      List.iter
+        (fun (v : Mgq_util.Verdict.t) -> check Alcotest.bool (name ^ ": " ^ v.detail) true v.passed)
+        run.Drill.verdicts)
+    [ Router.Round_robin; Router.Least_lagged; Router.Sticky ]
+
 let test_ryw_round_robin () = ryw_under Router.Round_robin
 let test_ryw_least_lagged () = ryw_under Router.Least_lagged
 let test_ryw_sticky () = ryw_under Router.Sticky
@@ -509,39 +533,13 @@ let test_budget_deadline_falls_back_to_primary () =
 (* Failover sweep                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One seeded crash/promote run. Returns (acked, promotion, cluster). *)
-let failover_run seed =
-  let cluster =
-    Cluster.create
-      ~config:
-        (cluster_config ~replicas:3 ~lag:(Replica.Latency { ticks = 1 })
-           ~drop_p:0.1 ~policy:Router.Least_lagged ~seed ())
-      ()
-  in
-  let s = Cluster.session cluster 0 in
-  let rng = Rng.create (seed * 7919) in
-  Cluster.kill_primary cluster ~crash_at_write:(1 + Rng.int rng 300);
-  let acked = ref [] in
-  (try
-     for i = 0 to 79 do
-       write_marker cluster s i;
-       acked := i :: !acked
-     done
-   with Fault.Torn_write _ | Fault.Crashed _ -> ());
-  (* The crash point may land past the whole workload; force the next
-     write to die so every run exercises failover. *)
-  if not (Cluster.primary_down cluster) then begin
-    Cluster.kill_primary cluster ~crash_at_write:1;
-    try write_marker cluster s 999 with
-    | Fault.Torn_write _ | Fault.Crashed _ -> ()
-  end;
-  let promotion = Cluster.promote cluster in
-  (List.rev !acked, promotion, cluster)
-
 let test_failover_sweep () =
   let tails = ref 0 in
   for seed = 1 to 32 do
-    let acked, promotion, cluster = failover_run seed in
+    let { Drill.cluster; acked; promotion; verdicts } = Drill.failover_trial ~seed in
+    let acked = List.init acked Fun.id in
+    check Alcotest.bool (Printf.sprintf "seed %d: verdicts pass" seed) true
+      (Mgq_util.Verdict.passed verdicts);
     check Alcotest.int
       (Printf.sprintf "seed %d: zero acked commits lost" seed)
       0 promotion.Cluster.lost_acked;
@@ -657,16 +655,6 @@ let state_parts db =
     ("catalog", Printf.sprintf "epoch %d\n%s" (Db.stats_epoch db) (Catalog.dump (Db.stats db)));
   ]
 
-let table2_params (a : Workload.args) =
-  [
-    ("uid", Value.Int a.Workload.uid);
-    ("u1", Value.Int a.Workload.uid);
-    ("u2", Value.Int a.Workload.uid2);
-    ("tag", Value.Str a.Workload.tag);
-    ("n", Value.Int a.Workload.n);
-    ("k", Value.Int a.Workload.threshold);
-  ]
-
 (* Every Table-2 answer through the core API and through Cypher under
    both planners, with each Cypher text's PROFILE (rows and db hits
    per operator). *)
@@ -696,7 +684,7 @@ let answers (ctx : Contexts.neo) (d : Dataset.t) =
           List.iter
             (fun (name, ctx) ->
               let r =
-                Cypher.run ~params:(table2_params args) ctx.Contexts.session
+                Cypher.run ~params:(Workload.params args) ctx.Contexts.session
                   ("PROFILE " ^ q.Workload.cypher_text args)
               in
               Printf.bprintf buf "%s uid=%d %s %s\n%s" q.Workload.id uid name
@@ -848,6 +836,7 @@ let () =
           Alcotest.test_case "sticky" `Quick test_ryw_sticky;
           Alcotest.test_case "budget fallback to primary" `Quick
             test_budget_deadline_falls_back_to_primary;
+          Alcotest.test_case "failover drill, every policy" `Quick test_drill_failover;
         ] );
       ( "base-backup",
         [

@@ -236,8 +236,24 @@ let test_durability_mid_commit_crash () =
 
 let test_audit_passes () =
   let report = Audit.run ~seeds:8 () in
-  if not report.Audit.r_passed then
+  let verdicts = report.Audit.r_verdicts in
+  if not (Mgq_util.Verdict.passed verdicts) then
     Alcotest.failf "audit failed:\n%s" (Audit.to_text report);
+  check
+    Alcotest.(list string)
+    "one verdict per oracle"
+    [
+      "no-forbidden-anomaly";
+      "durable";
+      "no-catalog-leak";
+      "snapshot-round-trip";
+      "failover-lost-nothing";
+      "baseline-self-test";
+    ]
+    (List.map (fun (v : Mgq_util.Verdict.t) -> v.name) verdicts);
+  check Alcotest.string "report's verdict line agrees with the verdicts"
+    (if Mgq_util.Verdict.passed verdicts then "verdict: PASS" else "verdict: FAIL")
+    (List.find (String.starts_with ~prefix:"verdict: ") report.Audit.r_lines);
   check Alcotest.int "no forbidden anomalies" 0 report.Audit.r_si.Audit.arm_forbidden;
   check Alcotest.int "no lost acked commits" 0 report.Audit.r_failover_lost;
   (match report.Audit.r_baseline with

@@ -876,8 +876,8 @@ let test_chaos_deterministic_and_passes () =
   let r2 = Chaos.run config in
   check Alcotest.(list string) "deterministic report lines" r1.Chaos.lines r2.Chaos.lines;
   List.iter
-    (fun (v : Chaos.verdict) ->
-      if not v.Chaos.passed then Alcotest.failf "oracle %s failed: %s" v.Chaos.name v.Chaos.detail)
+    (fun (v : Mgq_util.Verdict.t) ->
+      if not v.passed then Alcotest.failf "oracle %s failed: %s" v.name v.detail)
     (r1.Chaos.verdicts @ r2.Chaos.verdicts)
 
 let () =

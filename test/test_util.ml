@@ -9,6 +9,7 @@ module Text_table = Mgq_util.Text_table
 module Tsv = Mgq_util.Tsv
 module Json = Mgq_util.Json
 module Crc32 = Mgq_util.Crc32
+module Verdict = Mgq_util.Verdict
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -618,6 +619,15 @@ let test_crc32_first_calls_from_domains () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ---------------- verdict ---------------- *)
+
+let test_verdict_passed () =
+  let v name passed = { Verdict.name; passed; detail = "" } in
+  check Alcotest.bool "empty list passes" true (Verdict.passed []);
+  check Alcotest.bool "all passed" true (Verdict.passed [ v "a" true; v "b" true ]);
+  check Alcotest.bool "one failed verdict fails the list" false
+    (Verdict.passed [ v "a" true; v "b" false; v "c" true ])
+
 let suite =
   [
     ( "crc32",
@@ -698,6 +708,7 @@ let suite =
         Alcotest.test_case "fmt_int" `Quick test_fmt_int;
         Alcotest.test_case "fmt_ms" `Quick test_fmt_ms;
       ] );
+    ( "verdict", [ Alcotest.test_case "passed" `Quick test_verdict_passed ] );
     ( "tsv",
       [
         Alcotest.test_case "escape specials" `Quick test_tsv_escape_specials;
