@@ -52,7 +52,12 @@ let load_dataset dir =
   | Ok () -> dataset
   | Error msg -> failwith ("invalid source files: " ^ msg)
 
-let db_or_dir_args =
+(* Where [cypher], [explain] and [analyze] get their database: a saved
+   record store (--db wins) or a TSV directory to import. Neither is a
+   usage error, reported by Cmdliner before the command runs. *)
+type neo_source = Db_file of string | Tsv_dir of string
+
+let neo_source_arg =
   let dir_opt =
     Arg.(
       value
@@ -66,15 +71,19 @@ let db_or_dir_args =
       & info [ "db" ] ~docv:"FILE"
           ~doc:"Saved record-store database (from $(b,mgq import --save)).")
   in
-  (dir_opt, db_opt)
+  let pick dir db =
+    match (db, dir) with
+    | Some path, _ -> `Ok (Db_file path)
+    | None, Some dir -> `Ok (Tsv_dir dir)
+    | None, None -> `Error (true, "pass --dir or --db")
+  in
+  Term.(ret (const pick $ dir_opt $ db_opt))
 
-let open_neo_db db dir =
-  match (db, dir) with
-  | Some path, _ -> Mgq_neo.Db.load path
-  | None, Some dir ->
+let open_neo_db = function
+  | Db_file path -> Mgq_neo.Db.load path
+  | Tsv_dir dir ->
     let ctx = Contexts.build_neo (load_dataset dir) in
     ctx.Contexts.db
-  | None, None -> failwith "pass --dir or --db"
 
 let save_neo_db database =
   Option.iter (fun path ->
@@ -321,15 +330,14 @@ let cypher_cmd =
   let explain =
     Arg.(value & flag & info [ "explain" ] ~doc:"Print the plan instead of executing.")
   in
-  let dir_opt, db_opt = db_or_dir_args in
   let save_opt =
     Arg.(
       value
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Persist the database after the query (for writes).")
   in
-  let run dir db save text explain trace =
-    let database = open_neo_db db dir in
+  let run source save text explain trace =
+    let database = open_neo_db source in
     let session = Cypher.create database in
     if explain then print_endline (Cypher.explain session text)
     else begin
@@ -354,20 +362,19 @@ let cypher_cmd =
         "Run an ad-hoc declarative query (prefix with PROFILE for db-hit statistics; \
          supports CREATE/MERGE/SET/DELETE writes with --save)."
   in
-  Cmd.v info Term.(const run $ dir_opt $ db_opt $ save_opt $ text_arg $ explain $ trace_arg)
+  Cmd.v info Term.(const run $ neo_source_arg $ save_opt $ text_arg $ explain $ trace_arg)
 
 (* ---------------- analyze ---------------- *)
 
 let analyze_cmd =
-  let dir_opt, db_opt = db_or_dir_args in
   let save_opt =
     Arg.(
       value
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Persist the database (with fresh statistics).")
   in
-  let run dir db save =
-    let database = open_neo_db db dir in
+  let run source save =
+    let database = open_neo_db source in
     Mgq_neo.Db.analyze database;
     print_string (Mgq_catalog.Catalog.render (Mgq_neo.Db.stats database));
     Printf.printf "stats epoch: %d\n" (Mgq_neo.Db.stats_epoch database);
@@ -380,12 +387,11 @@ let analyze_cmd =
          histograms, value sketches) and print it. Bumps the statistics epoch, \
          invalidating cached plans."
   in
-  Cmd.v info Term.(const run $ dir_opt $ db_opt $ save_opt)
+  Cmd.v info Term.(const run $ neo_source_arg $ save_opt)
 
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
-  let dir_opt, db_opt = db_or_dir_args in
   let text_opt =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Query text.")
   in
@@ -393,6 +399,16 @@ let explain_cmd =
     Arg.(
       value & flag
       & info [ "workload" ] ~doc:"Explain every Table-2 workload query instead of QUERY.")
+  in
+  (* [None]: the whole workload. Neither is a usage error. *)
+  let target =
+    let pick text workload =
+      match (text, workload) with
+      | _, true -> `Ok None
+      | Some text, false -> `Ok (Some text)
+      | None, false -> `Error (true, "pass a QUERY or --workload")
+    in
+    Term.(ret (const pick $ text_opt $ workload_flag))
   in
   let analyze_flag =
     Arg.(
@@ -409,8 +425,8 @@ let explain_cmd =
           Cypher.Cost_based
       & info [ "planner" ] ~doc)
   in
-  let run dir db text workload analyze planner args =
-    let session = Cypher.create ~planner (open_neo_db db dir) in
+  let run source target analyze planner args =
+    let session = Cypher.create ~planner (open_neo_db source) in
     let params = Workload.params args in
     let explain_one text =
       if analyze then begin
@@ -433,7 +449,9 @@ let explain_cmd =
         []
       end
     in
-    if workload then begin
+    match target with
+    | Some text -> ignore (explain_one text)
+    | None ->
       let q_errors =
         List.concat_map
           (fun q ->
@@ -450,11 +468,6 @@ let explain_cmd =
           (List.length sorted) median
           (List.fold_left Float.max 1.0 sorted)
       end
-    end
-    else
-      match text with
-      | Some text -> ignore (explain_one text)
-      | None -> failwith "explain: pass a QUERY or --workload"
   in
   let info =
     Cmd.info "explain"
@@ -464,8 +477,7 @@ let explain_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ dir_opt $ db_opt $ text_opt $ workload_flag $ analyze_flag $ planner_arg
-      $ workload_args)
+      const run $ neo_source_arg $ target $ analyze_flag $ planner_arg $ workload_args)
 
 (* ---------------- sparksee-style load script ---------------- *)
 

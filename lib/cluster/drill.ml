@@ -48,6 +48,17 @@ let sessions ?(failover = false) cluster ~sessions ~steps ~write_ratio ~seed =
       promotions := (i, Cluster.promote cluster) :: !promotions
   done;
   let promotions = List.rev !promotions in
+  (* The armed crash may land past the last write: a failover drill
+     that never failed over has tested nothing and must say so. *)
+  let promoted =
+    if not failover then []
+    else
+      [
+        verdict "promoted" (promotions <> [])
+          (Printf.sprintf "%d promotions in a failover drill of %d steps" (List.length promotions)
+             steps);
+      ]
+  in
   {
     stale = !stale;
     promotions;
@@ -56,7 +67,8 @@ let sessions ?(failover = false) cluster ~sessions ~steps ~write_ratio ~seed =
         verdict "read-your-writes" (!stale = 0)
           (Printf.sprintf "%d stale reads of own writes" !stale);
         lost_nothing (List.map snd promotions);
-      ];
+      ]
+      @ promoted;
   }
 
 type trial = {

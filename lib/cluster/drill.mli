@@ -5,7 +5,9 @@
 type sessions_run = {
   stale : int;  (** reads that missed their own session's last write *)
   promotions : (int * Cluster.promotion) list;  (** [(step, promotion)], in order *)
-  verdicts : Mgq_util.Verdict.t list;  (** [read-your-writes], [no-acked-commit-lost] *)
+  verdicts : Mgq_util.Verdict.t list;
+      (** [read-your-writes], [no-acked-commit-lost], and with
+          [failover] also [promoted] *)
 }
 
 val sessions :
@@ -21,7 +23,8 @@ val sessions :
     its marker or reads the marker back through the router. With
     [failover] the primary is armed at step [steps / 2] to crash at a
     seeded write; that write's step promotes a replica and the run
-    finishes on it. *)
+    finishes on it. The [promoted] verdict fails when the armed crash
+    never fired (it can land past the run's last write). *)
 
 type trial = {
   cluster : Cluster.t;  (** after promotion *)

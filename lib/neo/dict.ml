@@ -10,7 +10,15 @@
    immutable snapshot through an [Atomic.t], and readers on any domain
    only ever see a published one. A new name copies the table, which
    is cheap because token dictionaries hold schema names: a handful
-   of labels, types and property keys. *)
+   of labels, types and property keys.
+
+   [find] keeps a one-entry memo of its last hit, matched by physical
+   string equality: compiled query sites and schema constants pass the
+   same string on every row, so a hot lookup costs one load and one
+   compare instead of a string hash. The memo is one immutable pair
+   published through an [Atomic.t], so a reader on any domain sees an
+   old pair or a new one, never a mix. Only hits are memoised, and an
+   id never changes once interned, so a memo hit is always right. *)
 
 module Tbl = Hashtbl.Make (String)
 
@@ -19,22 +27,48 @@ type snapshot = {
   by_id : string array; (* exactly the interned names, in id order *)
 }
 
+type memo = { m_name : string; m_id : int option (* always [Some] once set *) }
+
 type t = {
   snap : snapshot Atomic.t;
+  last : memo Atomic.t;
   mutable writer : int; (* Domain id of the pinned writer; -1 = unpinned *)
   mu : Mutex.t; (* serialises interns of new names and [adopt_writer] *)
 }
 
+(* A fresh string no caller can hold, so the empty memo never hits. *)
+let empty_memo = { m_name = String.make 1 '\000'; m_id = None }
+
 let create () =
-  { snap = Atomic.make { by_name = Tbl.create 1; by_id = [||] }; writer = -1; mu = Mutex.create () }
+  {
+    snap = Atomic.make { by_name = Tbl.create 1; by_id = [||] };
+    last = Atomic.make empty_memo;
+    writer = -1;
+    mu = Mutex.create ();
+  }
 
 (* Published snapshots are never mutated, so the copy may start from
-   the source's; a later intern on either side publishes a fresh one. *)
-let clone t = { snap = Atomic.make (Atomic.get t.snap); writer = -1; mu = Mutex.create () }
+   the source's; a later intern on either side publishes a fresh one.
+   The memo's pair holds in the copy too: same names, same ids. *)
+let clone t =
+  {
+    snap = Atomic.make (Atomic.get t.snap);
+    last = Atomic.make (Atomic.get t.last);
+    writer = -1;
+    mu = Mutex.create ();
+  }
 
 let adopt_writer t = Mutex.protect t.mu (fun () -> t.writer <- (Domain.self () :> int))
 
-let find t name = Tbl.find_opt (Atomic.get t.snap).by_name name
+let find t name =
+  let { m_name; m_id } = Atomic.get t.last in
+  if m_name == name then m_id
+  else
+    match Tbl.find_opt (Atomic.get t.snap).by_name name with
+    | Some _ as id ->
+      Atomic.set t.last { m_name = name; m_id = id };
+      id
+    | None -> None
 
 let intern_new t name =
   Mutex.protect t.mu (fun () ->

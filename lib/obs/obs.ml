@@ -3,14 +3,15 @@ type labels = (string * string) list
 let canon (labels : labels) = List.sort compare labels
 
 (* Domain safety: the registry is process-wide and any domain may
-   report into it — store.db_hits is bumped on every record access by
-   whichever domain drives that database. Counters therefore use
-   striped atomics (a plain mutable int would drop increments under
-   concurrent read-modify-write), gauges and histograms take a
-   per-metric mutex (their updates touch several fields), and the
-   registry table itself is mutex-guarded so two domains registering
-   the same metric cannot corrupt the Hashtbl or observe two distinct
-   handles for one (name, labels). *)
+   report into it. Counters therefore use striped atomics (a plain
+   mutable int would drop increments under concurrent
+   read-modify-write), gauges and histograms take a per-metric mutex
+   (their updates touch several fields), and the registry table itself
+   is mutex-guarded so two domains registering the same metric cannot
+   corrupt the Hashtbl or observe two distinct handles for one (name,
+   labels). The per-access store.* counters are not bumped at all:
+   they are derived counters, read from the storage cost models when a
+   snapshot is taken, so a record access costs no atomic operation. *)
 
 module Counter = struct
   (* Striped to keep hot-path contention down: each domain picks a
@@ -111,9 +112,20 @@ module Histogram = struct
     Mutex.unlock t.mu
 end
 
+(* A counter owned elsewhere: [read] returns a monotone running total,
+   and [reset] records the current reading as the zero point. *)
+module Derived = struct
+  type t = { read : unit -> int; base : int Atomic.t }
+
+  let create read = { read; base = Atomic.make 0 }
+  let value t = t.read () - Atomic.get t.base
+  let reset t = Atomic.set t.base (t.read ())
+end
+
 module Registry = struct
   type metric =
     | M_counter of Counter.t
+    | M_derived of Derived.t
     | M_gauge of Gauge.t
     | M_histogram of Histogram.t
 
@@ -123,6 +135,7 @@ module Registry = struct
 
   let kind_name = function
     | M_counter _ -> "counter"
+    | M_derived _ -> "derived counter"
     | M_gauge _ -> "gauge"
     | M_histogram _ -> "histogram"
 
@@ -148,6 +161,11 @@ module Registry = struct
     match find_or_add t name labels (fun () -> M_counter (Counter.create ())) with
     | M_counter c -> c
     | m -> mismatch name m "counter"
+
+  let derived_counter t ?(labels = []) name read =
+    match find_or_add t name labels (fun () -> M_derived (Derived.create read)) with
+    | M_derived _ -> ()
+    | m -> mismatch name m "derived counter"
 
   let gauge t ?(labels = []) name =
     match find_or_add t name labels (fun () -> M_gauge (Gauge.create ())) with
@@ -175,6 +193,7 @@ module Registry = struct
         let value =
           match metric with
           | M_counter c -> Counter_value (Counter.value c)
+          | M_derived d -> Counter_value (Derived.value d)
           | M_gauge g -> Gauge_value (Gauge.value g)
           | M_histogram h ->
             Histogram_value
@@ -193,6 +212,7 @@ module Registry = struct
       (fun metric ->
         match metric with
         | M_counter c -> Counter.reset c
+        | M_derived d -> Derived.reset d
         | M_gauge g -> Gauge.reset g
         | M_histogram h -> Histogram.reset h)
       metrics
@@ -200,6 +220,7 @@ end
 
 let default = Registry.create ()
 let counter ?labels name = Registry.counter default ?labels name
+let derived_counter ?labels name read = Registry.derived_counter default ?labels name read
 let gauge ?labels name = Registry.gauge default ?labels name
 let histogram ?labels ?buckets name = Registry.histogram default ?labels ?buckets name
 let snapshot () = Registry.snapshot default

@@ -11,8 +11,9 @@
     process, and any domain may report into it. Counters are
     striped atomics, so concurrent [Counter.add] from many domains
     loses no increments and [value] is exact once writers quiesce;
-    gauges and histograms take a per-metric mutex; registration and
-    snapshot/reset lock the registry table. A snapshot taken while
+    derived counters are read through their owner's function at
+    snapshot time; gauges and histograms take a per-metric mutex;
+    registration and snapshot/reset lock the registry table. A snapshot taken while
     writers are active is weakly consistent (each metric is read
     atomically; the set of metrics is not frozen at one instant).
 
@@ -75,6 +76,17 @@ module Registry : sig
       same handle, so hot paths can resolve once at module init.
       @raise Invalid_argument when [name] exists with another kind. *)
 
+  val derived_counter : t -> ?labels:labels -> string -> (unit -> int) -> unit
+  (** Register a counter whose value is not bumped but read: [read]
+      returns a monotone running total kept by its owner, called at
+      every {!snapshot} (from the snapshotting domain). The metric
+      samples as a [Counter_value] of [read ()] minus the reading at
+      the last {!reset}. The hot path pays nothing per event — the
+      store.* counters are these, summed over the live storage cost
+      models. The first registration of a name wins; it cannot be
+      fetched with {!counter}.
+      @raise Invalid_argument when [name] exists with another kind. *)
+
   val gauge : t -> ?labels:labels -> string -> Gauge.t
 
   val histogram : t -> ?labels:labels -> ?buckets:int list -> string -> Histogram.t
@@ -94,7 +106,8 @@ module Registry : sig
 
   val reset : t -> unit
   (** Zero every registered metric, keeping registrations (and any
-      handles already held) valid. *)
+      handles already held) valid. A derived counter is zeroed by
+      taking its current reading as the new baseline. *)
 end
 
 (** {1 The process-wide default registry}
@@ -104,6 +117,7 @@ end
 
 val default : Registry.t
 val counter : ?labels:labels -> string -> Counter.t
+val derived_counter : ?labels:labels -> string -> (unit -> int) -> unit
 val gauge : ?labels:labels -> string -> Gauge.t
 val histogram : ?labels:labels -> ?buckets:int list -> string -> Histogram.t
 val snapshot : unit -> Registry.sample list

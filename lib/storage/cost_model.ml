@@ -1,12 +1,5 @@
 module Obs = Mgq_obs.Obs
 
-(* Process-wide observability counters (DESIGN.md §11). Handles are
-   resolved once; the per-access cost is one field bump. *)
-let m_db_hits = Obs.counter "store.db_hits"
-let m_page_hits = Obs.counter "store.page_hits"
-let m_page_faults = Obs.counter "store.page_faults"
-let m_page_flushes = Obs.counter "store.page_flushes"
-
 type config = {
   record_access_ns : int;
   page_hit_ns : int;
@@ -70,17 +63,95 @@ type t = {
   mutable faults : Fault.plan option;
 }
 
+(* ---- Process-wide store totals (DESIGN.md §11) ----
+
+   The store.* metrics are not bumped per access. Each is read when a
+   snapshot is taken: the sum of every live model's accumulator plus
+   [retired], the counts of models since reset or collected. A model's
+   counts move into [retired] whole, its accumulators zeroed in the
+   same step, and a reader whose sum overlapped a move sums again, so
+   a total never goes backwards. The registry holds models weakly: it
+   never keeps a dropped database alive. *)
+
+let stat_names = [| "store.db_hits"; "store.page_hits"; "store.page_faults"; "store.page_flushes" |]
+
+let stat t = function
+  | 0 -> t.acc_db_hits
+  | 1 -> t.acc_page_hits
+  | 2 -> t.acc_page_faults
+  | _ -> t.acc_page_flushes
+
+let retired = Array.init (Array.length stat_names) (fun _ -> Atomic.make 0)
+
+(* [moving] counts moves in progress, [moves] completed ones. *)
+let moving = Atomic.make 0
+let moves = Atomic.make 0
+
+let retire t =
+  Atomic.incr moving;
+  for i = 0 to Array.length retired - 1 do
+    ignore (Atomic.fetch_and_add retired.(i) (stat t i))
+  done;
+  t.acc_db_hits <- 0;
+  t.acc_page_hits <- 0;
+  t.acc_page_faults <- 0;
+  t.acc_page_flushes <- 0;
+  Atomic.incr moves;
+  Atomic.decr moving
+
+(* Registration and summing lock [live_mu]; [retire] never does, so a
+   finaliser run at an allocation inside the locked sum cannot
+   deadlock. *)
+let live : t Weak.t ref = ref (Weak.create 16)
+let live_mu = Mutex.create ()
+
+let register t =
+  Mutex.protect live_mu (fun () ->
+      let w = !live in
+      let n = Weak.length w in
+      let rec free i = if i = n || not (Weak.check w i) then i else free (i + 1) in
+      let i = free 0 in
+      if i = n then begin
+        let bigger = Weak.create (2 * n) in
+        Weak.blit w 0 bigger 0 n;
+        live := bigger
+      end;
+      Weak.set !live i (Some t));
+  Gc.finalise retire t
+
+(* A move that overlapped the sum either is still in progress at the
+   end ([moving > 0]) or has completed since the start ([moves]
+   changed); both mean the sum may hold a count twice or not at all. *)
+let rec total i =
+  let before = Atomic.get moves in
+  let sum =
+    Mutex.protect live_mu (fun () ->
+        let w = !live and sum = ref 0 in
+        for slot = 0 to Weak.length w - 1 do
+          match Weak.get w slot with Some t -> sum := !sum + stat t i | None -> ()
+        done;
+        !sum)
+  in
+  let sum = sum + Atomic.get retired.(i) in
+  if Atomic.get moving = 0 && Atomic.get moves = before then sum else total i
+
+let () = Array.iteri (fun i name -> Obs.derived_counter name (fun () -> total i)) stat_names
+
 let create ?(config = default_config) () =
-  {
-    cfg = config;
-    acc_db_hits = 0;
-    acc_page_hits = 0;
-    acc_page_faults = 0;
-    acc_page_flushes = 0;
-    acc_simulated_ns = 0;
-    budget = None;
-    faults = None;
-  }
+  let t =
+    {
+      cfg = config;
+      acc_db_hits = 0;
+      acc_page_hits = 0;
+      acc_page_faults = 0;
+      acc_page_flushes = 0;
+      acc_simulated_ns = 0;
+      budget = None;
+      faults = None;
+    }
+  in
+  register t;
+  t
 
 let config t = t.cfg
 
@@ -111,19 +182,16 @@ let inject_db_hit t =
 
 let record_db_hit ?(n = 1) t =
   inject_db_hit t;
-  Obs.Counter.add m_db_hits n;
   t.acc_db_hits <- t.acc_db_hits + n;
   t.acc_simulated_ns <- t.acc_simulated_ns + (n * t.cfg.record_access_ns);
   charge_budget t ~hits:n ~ns:(n * t.cfg.record_access_ns)
 
 let record_page_hit t =
-  Obs.Counter.incr m_page_hits;
   t.acc_page_hits <- t.acc_page_hits + 1;
   t.acc_simulated_ns <- t.acc_simulated_ns + t.cfg.page_hit_ns;
   charge_budget t ~hits:0 ~ns:t.cfg.page_hit_ns
 
 let record_page_fault t ~sequential =
-  Obs.Counter.incr m_page_faults;
   let cost =
     t.cfg.page_fault_ns + if sequential then 0 else t.cfg.seek_penalty_ns
   in
@@ -132,7 +200,6 @@ let record_page_fault t ~sequential =
   charge_budget t ~hits:0 ~ns:cost
 
 let record_page_flush ?(n = 1) t =
-  Obs.Counter.add m_page_flushes n;
   t.acc_page_flushes <- t.acc_page_flushes + n;
   t.acc_simulated_ns <- t.acc_simulated_ns + (n * t.cfg.page_flush_ns);
   charge_budget t ~hits:0 ~ns:(n * t.cfg.page_flush_ns)
@@ -149,8 +216,5 @@ let snapshot t =
   }
 
 let reset t =
-  t.acc_db_hits <- 0;
-  t.acc_page_hits <- 0;
-  t.acc_page_faults <- 0;
-  t.acc_page_flushes <- 0;
+  retire t;
   t.acc_simulated_ns <- 0

@@ -7,7 +7,14 @@
     fixed cost configuration. Benches report both wall-clock time and
     these deterministic counters — the counters are what make the
     paper's *shapes* (flush spikes, cold-cache penalties, db-hit
-    comparisons between query plans) reproducible bit-for-bit. *)
+    comparisons between query plans) reproducible bit-for-bit.
+
+    The process-wide [store.db_hits], [store.page_hits],
+    [store.page_faults] and [store.page_flushes] metrics are derived
+    {!Mgq_obs.Obs} counters: nothing is bumped per event; a snapshot
+    sums every live model's counts plus those of models reset or
+    garbage-collected, so the totals never go backwards. Models are
+    held weakly and never kept alive by the metrics. *)
 
 type config = {
   record_access_ns : int;  (** CPU cost of touching one record ("db hit") *)
@@ -82,4 +89,7 @@ val advance_ns : t -> int -> unit
     deserialisation cost). *)
 
 val snapshot : t -> counters
+
 val reset : t -> unit
+(** Zero this model's counters; its counts stay in the [store.*]
+    totals. *)

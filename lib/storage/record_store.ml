@@ -1,5 +1,6 @@
 type t = {
   disk : Sim_disk.t;
+  cost : Cost_model.t; (* [Sim_disk.cost disk], held to spare a call per db hit *)
   name : string;
   fields : int;
   record_bytes : int;
@@ -16,6 +17,7 @@ let create disk ~name ~fields =
   let record_bytes = fields * 8 in
   {
     disk;
+    cost = Sim_disk.cost disk;
     name;
     fields;
     record_bytes;
@@ -25,7 +27,7 @@ let create disk ~name ~fields =
     count = 0;
   }
 
-let clone t disk = { t with disk; page_table = Array.copy t.page_table }
+let clone t disk = { t with disk; cost = Sim_disk.cost disk; page_table = Array.copy t.page_table }
 
 let name t = t.name
 let field_count t = t.fields
@@ -34,8 +36,7 @@ let count t = t.count
 let locate t id =
   assert (id >= 0 && id < t.count);
   let chunk = id / t.records_per_page in
-  let slot = id mod t.records_per_page in
-  (t.page_table.(chunk), slot * t.record_bytes)
+  (t.page_table.(chunk), (id - (chunk * t.records_per_page)) * t.record_bytes)
 
 let allocate t =
   let id = t.count in
@@ -52,47 +53,51 @@ let allocate t =
   t.count <- t.count + 1;
   id
 
+(* One field is one 64-bit load or store: the [%caml_bytes_*64u]
+   primitives compile to a single unaligned move, and ocamlopt keeps
+   the [int64] unboxed between the primitive and [Int64.to_int] /
+   [Int64.of_int], so no box is allocated even without flambda. Fields
+   are stored sign-extended and little-endian on every host (a
+   big-endian host swaps); [Int64.to_int] drops the duplicated top
+   bit, so the full 63-bit range (nil = -1 included) round-trips.
+   Callers have checked the record id and field, so the loads are
+   unchecked. *)
+external load64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external store64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let unboxed_field bytes off field =
+  let v = load64 bytes (off + (field * 8)) in
+  Int64.to_int (if Sys.big_endian then swap64 v else v)
+
+let store_field bytes off field v =
+  let v = Int64.of_int v in
+  store64 bytes (off + (field * 8)) (if Sys.big_endian then swap64 v else v)
+
 let set t ~id ~field v =
   assert (field >= 0 && field < t.fields);
   let page, off = locate t id in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
-  Sim_disk.with_page_write t.disk page (fun bytes ->
-      Bytes.set_int64_le bytes (off + (field * 8)) (Int64.of_int v))
-
-(* Decode one stored field without boxing: [Bytes.get_int64_le]
-   allocates an [int64] block per read, which every record read would
-   then pay. Fields are written as sign-extended 64-bit
-   little-endian ints; rebuilding from bytes drops the duplicated top
-   bit and keeps bit 62 as the tag-free OCaml sign, so the full
-   63-bit range (nil = -1 included) round-trips. *)
-let unboxed_field bytes off field =
-  let base = off + (field * 8) in
-  (* Spelled out byte by byte: a local helper closure would be a heap
-     allocation per read without flambda, defeating the point. *)
-  Char.code (Bytes.unsafe_get bytes base)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 3)) lsl 24)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 4)) lsl 32)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 5)) lsl 40)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 6)) lsl 48)
-  lor (Char.code (Bytes.unsafe_get bytes (base + 7)) lsl 56)
+  Cost_model.record_db_hit t.cost;
+  Sim_disk.with_page_write t.disk page (fun bytes -> store_field bytes off field v)
 
 (* The readers locate inline rather than through [locate]: without
    flambda the (page, off) pair is a real tuple allocation on every
-   record access. *)
+   record access. One division finds the page; the slot is the
+   remainder by subtraction. *)
 let get t ~id ~field =
   assert (id >= 0 && id < t.count && field >= 0 && field < t.fields);
-  let page = t.page_table.(id / t.records_per_page) in
-  let off = id mod t.records_per_page * t.record_bytes in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
+  let chunk = id / t.records_per_page in
+  let page = t.page_table.(chunk) in
+  let off = (id - (chunk * t.records_per_page)) * t.record_bytes in
+  Cost_model.record_db_hit t.cost;
   unboxed_field (Sim_disk.read_page t.disk page) off field
 
 let read4 t ~id ~f0 ~f1 ~f2 ~f3 =
   assert (id >= 0 && id < t.count && f3 < t.fields);
-  let page = t.page_table.(id / t.records_per_page) in
-  let off = id mod t.records_per_page * t.record_bytes in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
+  let chunk = id / t.records_per_page in
+  let page = t.page_table.(chunk) in
+  let off = (id - (chunk * t.records_per_page)) * t.record_bytes in
+  Cost_model.record_db_hit t.cost;
   let bytes = Sim_disk.read_page t.disk page in
   ( unboxed_field bytes off f0,
     unboxed_field bytes off f1,
@@ -104,9 +109,10 @@ let read4 t ~id ~f0 ~f1 ~f2 ~f3 =
    inner loop. *)
 let read_into t ~id dst =
   assert (id >= 0 && id < t.count && Array.length dst >= t.fields);
-  let page = t.page_table.(id / t.records_per_page) in
-  let off = id mod t.records_per_page * t.record_bytes in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
+  let chunk = id / t.records_per_page in
+  let page = t.page_table.(chunk) in
+  let off = (id - (chunk * t.records_per_page)) * t.record_bytes in
+  Cost_model.record_db_hit t.cost;
   let bytes = Sim_disk.read_page t.disk page in
   for f = 0 to t.fields - 1 do
     Array.unsafe_set dst f (unboxed_field bytes off f)
@@ -120,8 +126,6 @@ let get_record t ~id =
 let set_record t ~id values =
   assert (Array.length values = t.fields);
   let page, off = locate t id in
-  Cost_model.record_db_hit (Sim_disk.cost t.disk);
+  Cost_model.record_db_hit t.cost;
   Sim_disk.with_page_write t.disk page (fun bytes ->
-      Array.iteri
-        (fun f v -> Bytes.set_int64_le bytes (off + (f * 8)) (Int64.of_int v))
-        values)
+      Array.iteri (fun f v -> store_field bytes off f v) values)

@@ -485,7 +485,8 @@ let ryw_under policy =
 
 (* The [mgq cluster --failover] drill under every policy: the session
    workload with the primary killed mid-run and a replica promoted.
-   Both verdicts (read-your-writes, no acked commit lost) must pass. *)
+   All three verdicts (read-your-writes, no acked commit lost,
+   promoted) must pass. *)
 let test_drill_failover () =
   List.iter
     (fun policy ->
@@ -499,7 +500,7 @@ let test_drill_failover () =
       check
         Alcotest.(list string)
         (name ^ ": verdicts")
-        [ "read-your-writes"; "no-acked-commit-lost" ]
+        [ "read-your-writes"; "no-acked-commit-lost"; "promoted" ]
         (List.map (fun (v : Mgq_util.Verdict.t) -> v.name) run.Drill.verdicts);
       List.iter
         (fun (v : Mgq_util.Verdict.t) -> check Alcotest.bool (name ^ ": " ^ v.detail) true v.passed)

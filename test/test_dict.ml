@@ -85,12 +85,49 @@ let test_dict_concurrent_reads () =
   check Alcotest.int "count" n (Dict.count d);
   check Alcotest.(list string) "names in id order" (List.init n key) (Dict.names d)
 
+(* The one-entry memo of [find] under a writer: a reader alternating
+   two names misses the memo on every call and republishes it, while
+   the writer interns new names. Each answer must be that name's id.
+   A name looked up before it is interned is not memoised as absent,
+   and a clone answers from the memo it copied. *)
+let test_dict_memo_alternating_keys () =
+  let d = Dict.create () in
+  let uid = "uid" and followers = "followers" in
+  let uid_id = Dict.intern d uid and followers_id = Dict.intern d followers in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let lookups = ref 0 and bad = ref 0 in
+        while not (Atomic.get stop) do
+          if Dict.find d uid <> Some uid_id then incr bad;
+          if Dict.find d followers <> Some followers_id then incr bad;
+          lookups := !lookups + 2
+        done;
+        (!lookups, !bad))
+  in
+  for i = 0 to 499 do
+    ignore (Dict.intern d ("k" ^ string_of_int i) : int);
+    check Alcotest.(option int) "writer's own lookup" (Some followers_id) (Dict.find d followers)
+  done;
+  Atomic.set stop true;
+  let lookups, bad = Domain.join reader in
+  check Alcotest.bool "reader ran" true (lookups > 0);
+  check Alcotest.int "every alternating lookup got its own id" 0 bad;
+  let late = "late" in
+  check Alcotest.(option int) "unknown before intern" None (Dict.find d late);
+  let late_id = Dict.intern d late in
+  check Alcotest.(option int) "found once interned" (Some late_id) (Dict.find d late);
+  let copy = Dict.clone d in
+  check Alcotest.(option int) "clone answers from the copied memo" (Some late_id) (Dict.find copy late);
+  check Alcotest.(option int) "clone misses resolve" (Some uid_id) (Dict.find copy uid)
+
 let suite =
   [
     ( "domain-safety",
       [
         Alcotest.test_case "dict single-writer assertion" `Quick test_dict_single_writer;
         Alcotest.test_case "dict lock-free reads during interns" `Quick test_dict_concurrent_reads;
+        Alcotest.test_case "dict memo alternating keys" `Quick test_dict_memo_alternating_keys;
       ] );
   ]
 

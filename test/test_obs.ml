@@ -38,6 +38,23 @@ let test_counter_semantics () =
   Obs.Counter.incr c';
   check Alcotest.int "same handle" 43 (Obs.Counter.value c)
 
+let test_derived_counter_semantics () =
+  let r = Obs.Registry.create () in
+  let total = ref 5 in
+  Obs.Registry.derived_counter r "a.total" (fun () -> !total);
+  let read () = Obs.find_counter (Obs.Registry.snapshot r) "a.total" in
+  check Alcotest.(option int) "reads the owner's total" (Some 5) (read ());
+  total := 12;
+  check Alcotest.(option int) "read at snapshot time" (Some 12) (read ());
+  Obs.Registry.reset r;
+  check Alcotest.(option int) "reset takes a baseline" (Some 0) (read ());
+  total := 15;
+  check Alcotest.(option int) "counts from the baseline" (Some 3) (read ());
+  check Alcotest.bool "not fetchable as a plain counter" true
+    (match Obs.Registry.counter r "a.total" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_gauge_semantics () =
   let r = Obs.Registry.create () in
   let g = Obs.Registry.gauge r "a.gauge" in
@@ -350,6 +367,72 @@ let test_metrics_shed_and_breaker () =
     (counter "breaker.transitions" ~labels:[ ("to", "closed") ]);
   check Alcotest.int "open rejected once" 1 (counter "breaker.rejections")
 
+(* The store.* counters are read from the cost models at snapshot
+   time: their deltas are the summed deltas of every live model, and
+   neither a model reset nor a collected database moves them. *)
+let store_names = [ "store.db_hits"; "store.page_hits"; "store.page_faults"; "store.page_flushes" ]
+
+let store_readings () =
+  let snap = Obs.snapshot () in
+  List.map
+    (fun name ->
+      match Obs.find_counter snap name with
+      | Some v -> v
+      | None -> Alcotest.fail (name ^ " not registered"))
+    store_names
+
+let model_counts db =
+  let c = Cost_model.snapshot (Sim_disk.cost (Db.disk db)) in
+  [ c.Cost_model.db_hits; c.page_hits; c.page_faults; c.page_flushes ]
+
+(* Writes and reads through a two-page pool, so hits, faults and
+   flushes all move. *)
+let churn db =
+  let nodes =
+    List.init 2000 (fun i ->
+        Db.create_node db ~label:"user" (Mgq_core.Property.of_list [ ("uid", Value.Int i) ]))
+  in
+  List.iter (fun n -> ignore (Db.node_property db n "uid" : Value.t)) nodes
+
+let tiny_db () = Db.create ~pool_pages:2 ~wal:false ()
+
+let test_store_counters_sum_live_models () =
+  let a = tiny_db () and b = tiny_db () in
+  churn a;
+  Obs.reset ();
+  let a0 = model_counts a and b0 = model_counts b in
+  churn b;
+  churn a;
+  let delta db c0 = List.map2 ( - ) (model_counts db) c0 in
+  let expected = List.map2 ( + ) (delta a a0) (delta b b0) in
+  check Alcotest.bool "hits, faults and flushes all moved" true (List.for_all (fun v -> v > 0) expected);
+  check Alcotest.(list int) "store.* = summed deltas of both models" expected (store_readings ())
+
+let test_store_counters_monotone () =
+  let kept = tiny_db () in
+  churn kept;
+  let r0 = store_readings () in
+  Cost_model.reset (Sim_disk.cost (Db.disk kept));
+  check Alcotest.(list int) "a model reset keeps the totals" r0 (store_readings ());
+  let model = Weak.create 1 in
+  let dropped () =
+    let db = tiny_db () in
+    Weak.set model 0 (Some (Sim_disk.cost (Db.disk db)));
+    churn db
+  in
+  dropped ();
+  let r1 = store_readings () in
+  check Alcotest.bool "the dropped database counted" true (List.for_all2 ( < ) r0 r1);
+  Gc.full_major ();
+  Gc.full_major ();
+  check Alcotest.bool "the dropped database's model was collected" false (Weak.check model 0);
+  check Alcotest.(list int) "collection keeps the totals" r1 (store_readings ());
+  churn kept;
+  check Alcotest.bool "counting goes on after reset" true
+    (List.for_all2 ( <= ) r1 (store_readings ()));
+  Obs.reset ();
+  check Alcotest.(list int) "Obs.reset zeroes them" [ 0; 0; 0; 0 ] (store_readings ())
+
 (* ------------------------------------------------------------------ *)
 (* Domain safety                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -375,6 +458,7 @@ let suite =
     ( "registry",
       [
         Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
+        Alcotest.test_case "derived counter semantics" `Quick test_derived_counter_semantics;
         Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
         Alcotest.test_case "histogram semantics" `Quick test_histogram_semantics;
         Alcotest.test_case "label isolation" `Quick test_label_isolation;
@@ -398,6 +482,9 @@ let suite =
         Alcotest.test_case "plan-cache and store counters" `Quick
           test_metrics_plan_cache_and_store;
         Alcotest.test_case "shed and breaker counters" `Quick test_metrics_shed_and_breaker;
+        Alcotest.test_case "store counters sum live models" `Quick
+          test_store_counters_sum_live_models;
+        Alcotest.test_case "store counters stay monotone" `Quick test_store_counters_monotone;
       ] );
     ( "domain-safety",
       [

@@ -354,8 +354,11 @@ let build_both seed n_nodes n_edges =
 
 let prop_engines_agree_on_neighbors =
   QCheck.Test.make ~name:"neo and sparks agree on unique neighbor sets" ~count:40
-    QCheck.(triple small_int (int_range 1 20) (int_range 0 60))
-    (fun (seed, n_nodes, n_edges) ->
+    QCheck.(triple small_int (int_bound 19) (int_bound 60))
+    (fun (seed, nodes, n_edges) ->
+      (* An offset from the 1-node floor: shrinking towards 0 stays in
+         range, where [int_range]'s shrinker walks below it. *)
+      let n_nodes = 1 + nodes in
       let neo, sdb, follows_t, neo_nodes, s_nodes, n = build_both seed n_nodes n_edges in
       let ok = ref true in
       for i = 0 to n - 1 do
@@ -385,8 +388,10 @@ let prop_engines_agree_on_neighbors =
 
 let prop_engines_agree_on_distance =
   QCheck.Test.make ~name:"neo and sparks agree on hop distance" ~count:40
-    QCheck.(triple small_int (int_range 2 20) (int_range 0 60))
-    (fun (seed, n_nodes, n_edges) ->
+    QCheck.(triple small_int (int_bound 18) (int_bound 60))
+    (fun (seed, nodes, n_edges) ->
+      (* An offset from the 2-node floor, as above. *)
+      let n_nodes = 2 + nodes in
       let neo, sdb, follows_t, neo_nodes, s_nodes, n = build_both seed n_nodes n_edges in
       let rng = Rng.create (seed + 17) in
       let a = Rng.int rng n and b = Rng.int rng n in

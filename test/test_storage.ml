@@ -249,6 +249,60 @@ let prop_record_store_model =
       done;
       !ok)
 
+(* Every write path against every read path, over the whole 63-bit
+   range. Seven fields make 56-byte records: a 512-byte page holds 9
+   of them, not a power of two, and 40 records span 5 pages. *)
+type record_write = Field of int * int * int | Whole of int * int array
+
+let prop_record_store_full_range =
+  let records = 40 and fields = 7 in
+  let value = QCheck.Gen.(frequency [ (3, int); (1, oneofl [ min_int; max_int; Record_store.nil; 0 ]) ]) in
+  let write =
+    QCheck.Gen.(
+      oneof
+        [
+          map3 (fun id f v -> Field (id, f, v)) (int_bound (records - 1)) (int_bound (fields - 1)) value;
+          map2 (fun id vs -> Whole (id, vs)) (int_bound (records - 1)) (array_size (return fields) value);
+        ])
+  in
+  let print = function
+    | Field (id, f, v) -> Printf.sprintf "set %d.%d <- %d" id f v
+    | Whole (id, vs) ->
+      Printf.sprintf "set_record %d <- [%s]" id
+        (String.concat "; " (Array.to_list (Array.map string_of_int vs)))
+  in
+  QCheck.Test.make ~name:"record fields round-trip the full int range" ~count:200
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list write))
+    (fun writes ->
+      let d = Sim_disk.create ~page_size:512 ~pool_pages:2 () in
+      let s = Record_store.create d ~name:"wide" ~fields in
+      for _ = 1 to records do
+        ignore (Record_store.allocate s)
+      done;
+      let model = Array.make_matrix records fields 0 in
+      List.iter
+        (function
+          | Field (id, f, v) ->
+            Record_store.set s ~id ~field:f v;
+            model.(id).(f) <- v
+          | Whole (id, vs) ->
+            Record_store.set_record s ~id vs;
+            model.(id) <- Array.copy vs)
+        writes;
+      let scratch = Array.make fields 0 in
+      List.for_all
+        (fun id ->
+          let m = model.(id) in
+          Record_store.read_into s ~id scratch;
+          let a, b, c, e = Record_store.read4 s ~id ~f0:0 ~f1:2 ~f2:4 ~f3:6 in
+          let g = Record_store.read4 s ~id ~f0:3 ~f1:4 ~f2:5 ~f3:6 in
+          scratch = m
+          && Record_store.get_record s ~id = m
+          && List.for_all (fun f -> Record_store.get s ~id ~field:f = m.(f)) (List.init fields Fun.id)
+          && (a, b, c, e) = (m.(0), m.(2), m.(4), m.(6))
+          && g = (m.(3), m.(4), m.(5), m.(6)))
+        (List.init records Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Blob_store                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -488,6 +542,7 @@ let suite =
         Alcotest.test_case "many pages" `Quick test_record_store_many_pages;
         Alcotest.test_case "counts db hits" `Quick test_record_store_counts_db_hits;
         qtest prop_record_store_model;
+        qtest prop_record_store_full_range;
       ] );
     ( "blob-store",
       [
