@@ -112,8 +112,19 @@ let run_failover () =
   let trials = if !smoke then 6 else 30 in
   let runs =
     List.init trials (fun i ->
-        let t = Drill.failover_trial ~seed:(i + 1) in
-        check_verdicts (Printf.sprintf "C3 seed %d" (i + 1)) t.Drill.verdicts;
+        let seed = i + 1 in
+        let config =
+          {
+            Cluster.default_config with
+            Cluster.replicas = 3;
+            seed;
+            lag = Replica.Latency { ticks = 1 };
+            drop_p = 0.1;
+            policy = Router.Least_lagged;
+          }
+        in
+        let t = Drill.failover_trial (Cluster.create ~config ()) ~writes:80 ~seed in
+        check_verdicts (Printf.sprintf "C3 seed %d" seed) t.Drill.verdicts;
         t)
   in
   let total f = string_of_int (List.fold_left (fun n t -> n + f t) 0 runs) in
@@ -128,7 +139,7 @@ let run_failover () =
     ~header:[ "metric"; "value" ]
     [
       [ "failover trials"; string_of_int trials ];
-      [ "acknowledged commits (total)"; total (fun t -> t.Drill.acked) ];
+      [ "acknowledged commits (total)"; total (fun t -> List.length t.Drill.acked) ];
       [ "acknowledged commits lost"; promoted (fun p -> p.Cluster.lost_acked) ];
       [
         "promoted logs scanning clean";

@@ -985,99 +985,6 @@ let workload_cmd =
   let info = Cmd.info "workload" ~doc:"List the Table 2 query workload." in
   Cmd.v info Term.(const run $ const ())
 
-(* ---------------- overload ---------------- *)
-
-let overload_cmd =
-  let module Admission = Mgq_overload.Admission in
-  let module Sim_load = Mgq_overload.Sim_load in
-  let rate =
-    Arg.(
-      value & opt float 4_000.
-      & info [ "rate" ] ~docv:"R" ~doc:"Offered load, requests per second (open loop).")
-  in
-  let duration_ms =
-    Arg.(
-      value & opt int 1_000
-      & info [ "duration" ] ~docv:"MS" ~doc:"Arrival horizon, simulated milliseconds.")
-  in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers"; "w" ] ~docv:"N" ~doc:"Parallel workers.")
-  in
-  let slo_ms =
-    Arg.(
-      value & opt int 50
-      & info [ "slo" ] ~docv:"MS"
-          ~doc:"End-to-end latency a completion must meet to count as goodput.")
-  in
-  let no_admission =
-    Arg.(
-      value & flag
-      & info [ "no-admission" ]
-          ~doc:"Disable admission control (the unprotected FIFO baseline).")
-  in
-  let compare =
-    Arg.(
-      value & flag
-      & info [ "compare" ] ~doc:"Run both protected and unprotected, side by side.")
-  in
-  let run rate duration_ms workers slo_ms seed no_admission compare =
-    let config admission =
-      {
-        Sim_load.default_config with
-        Sim_load.rate_per_s = rate;
-        duration_ns = duration_ms * 1_000_000;
-        workers;
-        slo_ns = slo_ms * 1_000_000;
-        seed;
-        admission = (if admission then Some Admission.default_config else None);
-      }
-    in
-    let variants =
-      if compare then [ ("admission", true); ("unprotected", false) ]
-      else [ ((if no_admission then "unprotected" else "admission"), not no_admission) ]
-    in
-    let reports = List.map (fun (label, adm) -> (label, Sim_load.run (config adm))) variants in
-    Printf.printf
-      "open-loop simulation: %.0f req/s offered for %d ms, %d workers, SLO %d ms, seed %d\n"
-      rate duration_ms workers slo_ms seed;
-    let ms ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6) in
-    Text_table.print
-      ~aligns:
-        Text_table.[ Left; Right; Right; Right; Right; Right; Right; Right; Right ]
-      ~header:
-        [ "mode"; "arrivals"; "admitted"; "shed"; "goodput/s"; "p50 ms"; "p99 ms"; "queue"; "limit" ]
-      (List.map
-         (fun (label, r) ->
-           [
-             label;
-             string_of_int r.Sim_load.arrivals;
-             string_of_int r.Sim_load.admitted;
-             string_of_int (Sim_load.shed_total r);
-             Printf.sprintf "%.0f" r.Sim_load.goodput_per_s;
-             ms r.Sim_load.p50_ns;
-             ms r.Sim_load.p99_ns;
-             string_of_int r.Sim_load.max_queue;
-             (if r.Sim_load.final_limit > 0. then Printf.sprintf "%.1f" r.Sim_load.final_limit
-              else "-");
-           ])
-         reports);
-    List.iter
-      (fun (label, r) ->
-        if Sim_load.shed_total r > 0 then
-          Printf.printf "%s shed by class: cheap %d, moderate %d, expensive %d\n" label
-            r.Sim_load.shed_cheap r.Sim_load.shed_moderate r.Sim_load.shed_expensive)
-      reports
-  in
-  let info =
-    Cmd.info "overload"
-      ~doc:
-        "Simulate open-loop load against the admission controller (token bucket + AIMD \
-         concurrency limit with priority shedding)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ rate $ duration_ms $ workers $ slo_ms $ seed_arg $ no_admission $ compare)
-
 (* ---------------- metrics ---------------- *)
 
 let metrics_cmd =
@@ -1213,7 +1120,6 @@ let main =
       chaos_cmd;
       workload_cmd;
       cluster_cmd;
-      overload_cmd;
       metrics_cmd;
       audit_cmd;
     ]

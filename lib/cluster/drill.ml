@@ -17,7 +17,7 @@ let lost_nothing promotions =
   verdict "no-acked-commit-lost" (lost = 0)
     (Printf.sprintf "%d acked commits lost over %d promotions" lost (List.length promotions))
 
-let node props db = Db.create_node db ~label:"user" (Mgq_core.Property.of_list props)
+let node props db = Db.create_node db ~label:"drill" (Mgq_core.Property.of_list props)
 
 let sessions ?(failover = false) cluster ~sessions ~steps ~write_ratio ~seed =
   let rng = Rng.create seed in
@@ -71,53 +71,49 @@ let sessions ?(failover = false) cluster ~sessions ~steps ~write_ratio ~seed =
       @ promoted;
   }
 
+type step = { run : 'a. (unit -> 'a) -> 'a }
+
 type trial = {
-  cluster : Cluster.t;
-  acked : int;
+  acked : int list;
   promotion : Cluster.promotion;
   verdicts : Verdict.t list;
 }
 
-let failover_trial ~seed =
-  let config =
-    {
-      Cluster.default_config with
-      Cluster.replicas = 3;
-      seed;
-      lag = Replica.Latency { ticks = 1 };
-      drop_p = 0.1;
-      policy = Router.Least_lagged;
-    }
+let crashed f =
+  match f () with () -> false | exception (Fault.Torn_write _ | Fault.Crashed _) -> true
+
+let failover_trial ?(step = { run = (fun f -> f ()) }) cluster ~writes ~seed =
+  (* Session -1: no id the session workload or a router client uses. *)
+  let session = Cluster.session cluster (-1) in
+  let acked = ref [] in
+  let write i =
+    step.run (fun () ->
+        let id = Cluster.write cluster ~session (node [ ("k", Value.Int i) ]) in
+        acked := (i, id) :: !acked)
   in
-  let cluster = Cluster.create ~config () in
-  let session = Cluster.session cluster 0 in
-  let write i = ignore (Cluster.write cluster ~session (node [ ("k", Value.Int i) ])) in
-  Cluster.kill_primary cluster ~crash_at_write:(1 + Rng.int (Rng.create (seed * 7919)) 300);
-  let acked = ref 0 in
-  (try
-     for i = 0 to 79 do
-       write i;
-       incr acked
-     done
-   with Fault.Torn_write _ | Fault.Crashed _ -> ());
-  (* The crash point may land past the whole workload; force the next
+  (* A create-only write costs about five page writes, so about one
+     seeded point in six lies past the workload. *)
+  let crash_at_write = 1 + Rng.int (Rng.create (seed * 7919)) (6 * writes) in
+  step.run (fun () -> Cluster.kill_primary cluster ~crash_at_write);
+  let rec crashes_by i = i < writes && (crashed (fun () -> write i) || crashes_by (i + 1)) in
+  (* When the seeded point lies past the workload, force the next
      write to die so every trial exercises failover. *)
-  if not (Cluster.primary_down cluster) then begin
-    Cluster.kill_primary cluster ~crash_at_write:1;
-    try write 999 with Fault.Torn_write _ | Fault.Crashed _ -> ()
+  if not (crashes_by 0) then begin
+    step.run (fun () -> Cluster.kill_primary cluster ~crash_at_write:1);
+    ignore (crashed (fun () -> write writes))
   end;
-  let promotion = Cluster.promote cluster in
-  (* Writes are create-only, so acked write i made node i. *)
-  let np = Cluster.primary cluster in
+  let promotion = step.run (fun () -> Cluster.promote cluster) in
+  let acked = List.rev !acked in
   let missing =
-    List.length
-      (List.filter
-         (fun i -> not (Db.node_exists np i && Db.node_property np i "k" = Value.Int i))
-         (List.init !acked Fun.id))
+    step.run (fun () ->
+        let np = Cluster.primary cluster in
+        List.length
+          (List.filter
+             (fun (i, id) -> not (Db.node_exists np id && Db.node_property np id "k" = Value.Int i))
+             acked))
   in
   {
-    cluster;
-    acked = !acked;
+    acked = List.map snd acked;
     promotion;
     verdicts =
       [
@@ -125,6 +121,7 @@ let failover_trial ~seed =
         verdict "clean-scan" (promotion.stop = Mgq_neo.Wal.Clean)
           ("promoted log scanned " ^ Mgq_neo.Wal.stop_to_string promotion.stop);
         verdict "acked-present" (missing = 0)
-          (Printf.sprintf "%d of %d acked writes missing on the new primary" missing !acked);
+          (Printf.sprintf "%d of %d acked writes missing on the new primary" missing
+             (List.length acked));
       ];
   }

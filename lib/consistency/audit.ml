@@ -1,9 +1,7 @@
 module Db = Mgq_neo.Db
 module Catalog = Mgq_catalog.Catalog
 module Cluster = Mgq_cluster.Cluster
-module Fault = Mgq_storage.Fault
-module Value = Mgq_core.Value
-module Property = Mgq_core.Property
+module Drill = Mgq_cluster.Drill
 module Verdict = Mgq_util.Verdict
 
 type arm = {
@@ -191,41 +189,37 @@ let run_arm ~isolation ~seeds ~sessions ~txns_per_session ~ops_per_txn ~register
     arm_crash_runs = !crash_runs;
   }
 
-(* Kill the primary mid-run with a commit in flight; after promotion
-   no acknowledged write may be missing (lost_acked = 0), and the
-   register must read as the last acked value or the one in-flight
-   write that was never acknowledged. *)
-let failover_probe ~seed out =
+(* Drill's crash-then-promote trial, once per seed, on a default
+   cluster. Returns the acked commits lost in all, the arm's summary
+   lines and its verdict. *)
+let failover_arm ~seeds out =
   let line fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let cl = Cluster.create () in
-  let session = Cluster.session cl 0 in
-  let node =
-    Cluster.write cl ~session (fun db ->
-        Db.create_node db ~label:"reg"
-          (Property.of_list [ ("reg", Value.Int 0); ("v", Value.Int 0) ]))
+  let writes = 12 in
+  line "arm failover (%d seeds): kill_primary mid-run, promote, assert lost_acked = 0" seeds;
+  let trials =
+    List.init seeds (fun seed ->
+        let cluster = Cluster.create ~config:{ Cluster.default_config with Cluster.seed } () in
+        let t = Drill.failover_trial cluster ~writes ~seed in
+        let p = t.Drill.promotion in
+        line "  seed %3d: %d of %d writes acked%s, promoted replica %d, lost_acked=%d%s" seed
+          (List.length t.Drill.acked) writes
+          (if List.length t.Drill.acked = writes then " (crash forced)" else "")
+          p.Cluster.new_primary p.Cluster.lost_acked
+          (if Verdict.passed t.Drill.verdicts then "" else " FAIL");
+        (t, Cluster.epoch cluster))
   in
-  let crash_at = 1 + (seed * 7 mod 60) in
-  Cluster.kill_primary cl ~crash_at_write:crash_at;
-  let acked = ref 0 in
-  (try
-     for i = 1 to 12 do
-       Cluster.write cl ~session (fun db -> Db.set_node_property db node "v" (Value.Int i));
-       acked := i
-     done
-   with Fault.Torn_write _ | Fault.Crashed _ | Cluster.Unavailable _ -> ());
-  if not (Cluster.primary_down cl) then begin
-    line "  seed %3d: crash_at_write=%d never fired (%d acked)" seed crash_at !acked;
-    (0, 0)
-  end
-  else begin
-    let p = Cluster.promote cl in
-    let v = Sched.as_int (Db.node_property (Cluster.primary cl) node "v") in
-    let ok = v = !acked || v = !acked + 1 in
-    line "  seed %3d: crashed at write %d, %d acked, lost_acked=%d, recovered v=%d%s" seed
-      crash_at !acked p.Cluster.lost_acked v
-      (if ok then "" else " UNEXPECTED");
-    (p.Cluster.lost_acked, if ok then 0 else 1)
-  end
+  let count f = List.length (List.filter f trials) in
+  let lost = List.fold_left (fun n (t, _) -> n + t.Drill.promotion.Cluster.lost_acked) 0 trials in
+  let failures = count (fun (t, _) -> not (Verdict.passed t.Drill.verdicts)) in
+  ( lost,
+    [
+      Printf.sprintf "failover: runs=%d promotions=%d lost_acked=%d failures=%d" seeds
+        (count (fun (_, epoch) -> epoch = 1))
+        lost failures;
+    ],
+    Verdict.all "failover-lost-nothing"
+      ~pass_detail:(Printf.sprintf "%d trials, no acked commit lost" seeds)
+      (List.concat_map (fun (t, _) -> t.Drill.verdicts) trials) )
 
 let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
     ?(registers = 3) ?(baseline = true) ?(failover = true) () =
@@ -244,16 +238,10 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
            ~registers ~crashes:false ~probes:false out)
     else None
   in
-  let failover_runs = if failover then seeds else 0 in
-  let lost = ref 0 and fo_failures = ref 0 in
-  if failover then begin
-    line "arm failover (%d seeds): kill_primary mid-run, promote, assert lost_acked = 0" seeds;
-    for seed = 0 to seeds - 1 do
-      let l, f = failover_probe ~seed out in
-      lost := !lost + l;
-      fo_failures := !fo_failures + f
-    done
-  end;
+  let failover_lost, failover_summary, failover_verdict =
+    if failover then failover_arm ~seeds out
+    else (0, [], { Verdict.name = "failover-lost-nothing"; passed = true; detail = "arm disabled" })
+  in
   let arm_line name (a : arm) =
     line "%s: committed=%d conflicts=%d aborted=%d crash_runs=%d forbidden=%d %s" name
       a.arm_committed a.arm_conflicts a.arm_aborted a.arm_crash_runs a.arm_forbidden
@@ -264,7 +252,7 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
   in
   arm_line "snapshot-isolation" si;
   Option.iter (arm_line "baseline") bl;
-  if failover then line "failover: runs=%d lost_acked=%d failures=%d" failover_runs !lost !fo_failures;
+  List.iter (line "%s") failover_summary;
   let none name n what = { Verdict.name; passed = n = 0; detail = Printf.sprintf "%d %s" n what } in
   let verdicts =
     [
@@ -272,11 +260,7 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
       none "durable" si.arm_durability_failures "durability failures";
       none "no-catalog-leak" si.arm_catalog_leaks "catalog leaks";
       none "snapshot-round-trip" si.arm_snapshot_failures "snapshot round-trip failures";
-      {
-        Verdict.name = "failover-lost-nothing";
-        passed = !lost = 0 && !fo_failures = 0;
-        detail = Printf.sprintf "%d acked commits lost, %d failed probes" !lost !fo_failures;
-      };
+      failover_verdict;
       (* The baseline arm is the harness self-test: with isolation off it
          must actually catch anomalies, or a green SI arm proves nothing. *)
       {
@@ -290,7 +274,7 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
   {
     r_si = si;
     r_baseline = bl;
-    r_failover_lost = !lost;
+    r_failover_lost = failover_lost;
     r_verdicts = verdicts;
     r_lines = List.rev !out;
   }

@@ -1,6 +1,6 @@
 (** The end-to-end concurrency/crash audit: seeded scheduler runs
     checked by {!Checker}, a durability probe over {!Mgq_neo.Db.recover},
-    a catalog-leak probe, and a cluster-failover probe.
+    a catalog-leak probe, and the cluster's crash-then-promote trial.
 
     Three arms:
 
@@ -16,10 +16,11 @@
       self-test — with isolation off the checker {e must} report
       forbidden anomalies (dirty reads / lost updates), or a green SI
       arm would prove nothing.
-    - {e failover}: a cluster primary is killed mid-write-stream;
-      after {!Mgq_cluster.Cluster.promote}, [lost_acked] must be 0
-      and the register must read as the last acknowledged value (or
-      the single unacknowledged in-flight one).
+    - {e failover}: per seed, {!Mgq_cluster.Drill.failover_trial}
+      on a default cluster: the primary dies at a seeded page write
+      (forced onto the write after the workload when that point lies
+      past it, so every seed fails over); after promotion no
+      acknowledged write may be missing.
 
     Durability candidates for a crashed-commit run: the recovered
     state must equal exactly [E0] (only acked commits applied) or
@@ -50,8 +51,9 @@ type report = {
   r_verdicts : Mgq_util.Verdict.t list;
       (** one per oracle, in order: [no-forbidden-anomaly],
           [durable], [no-catalog-leak], [snapshot-round-trip] (the
-          snapshot-isolation arm), [failover-lost-nothing] (no acked
-          commit lost, no failed probe) and [baseline-self-test] (the
+          snapshot-isolation arm), [failover-lost-nothing] (every
+          failover trial's verdicts passed; the detail is the first
+          failure's) and [baseline-self-test] (the
           read-uncommitted arm found anomalies); a disabled arm's
           verdict passes *)
   r_lines : string list;  (** the human-readable report, in order *)

@@ -115,30 +115,17 @@ let guard t = t.guard
 let admission t = t.admission
 
 (* ------------------------------------------------------------------ *)
-(* chaos-harness hooks                                                *)
+(* chaos-harness hook                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The campaign runner mutates the cluster — acked writes, a primary
+(* The chaos campaign mutates the cluster — acked writes, a primary
    kill, failover — while HTTP workers serve reads through [handle].
    The engine instances are single-threaded, so every engine-touching
-   step serializes on the same mutex [handle] holds; bypassing it
-   would race the worker pool. Session id -1 is reserved for the
-   harness (HTTP conn ids start at 1). *)
-let with_engine t f =
+   step runs under the mutex [handle] holds; touching the cluster
+   outside [with_cluster] would race the worker pool. *)
+let with_cluster t f =
   Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let write t f =
-  with_engine t (fun () ->
-      let session = Cluster.session t.cluster (-1) in
-      Cluster.write t.cluster ~session f)
-
-let kill_primary t ~crash_at_write =
-  with_engine t (fun () -> Cluster.kill_primary t.cluster ~crash_at_write)
-
-let primary_down t = with_engine t (fun () -> Cluster.primary_down t.cluster)
-let promote t = with_engine t (fun () -> Cluster.promote t.cluster)
-let on_primary t f = with_engine t (fun () -> f (Cluster.primary t.cluster))
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> f t.cluster)
 
 (* The Cypher session bound to whichever db the router picked. *)
 let session_for t db =

@@ -10,10 +10,9 @@
    Three phases — baseline (clean), fault (everything at once),
    recovery (clean again) — and then the oracles:
 
-     no-acked-write-lost   the consistency-audit register check: after
-                           failover no acknowledged write is missing
-                           and the register reads as the last acked
-                           value or the one un-acked in-flight write
+     no-acked-write-lost   Drill's crash-then-promote trial, as the
+                           consistency audit runs it: after failover
+                           no acknowledged write is missing
      workers-drained       Server.stop returned and no worker still
                            holds a connection (leak check)
      typed-outcomes        every scheduled request resolved to exactly
@@ -36,12 +35,8 @@ module Loadgen = Loadgen
 module Obs = Mgq_obs.Obs
 module Rng = Mgq_util.Rng
 module Retry = Mgq_util.Retry
-module Db = Mgq_neo.Db
-module Cluster = Mgq_cluster.Cluster
+module Drill = Mgq_cluster.Drill
 module Router = Mgq_cluster.Router
-module Fault = Mgq_storage.Fault
-module Property = Mgq_core.Property
-module Value = Mgq_core.Value
 
 type config = {
   seed : int;
@@ -61,7 +56,7 @@ type config = {
   first_byte_delay_ms : int;
   header_deadline_s : float;  (* server eviction clock, tightened for the run *)
   body_deadline_s : float;
-  writes : int;  (* acked register writes attempted during the fault phase *)
+  writes : int;  (* drill writes attempted during the fault phase *)
   failover : bool;  (* arm the disk crash + promote *)
 }
 
@@ -193,9 +188,9 @@ let run config =
   line "server deadlines: header=%.2fs body=%.2fs" config.header_deadline_s
     config.body_deadline_s;
   (* Seed-derived fault schedule. *)
-  let crash_at_write = 2 + (config.seed * 7 mod 41) in
   if config.failover then
-    line "disk fault: primary tears page write %d, then failover" crash_at_write
+    line "disk fault: %d drill writes, primary tears a seeded page write, then failover"
+      config.writes
   else line "disk fault: disabled";
   let dataset =
     Mgq_twitter.Generator.generate
@@ -257,46 +252,32 @@ let run config =
                 ~give_up_s:(config.header_deadline_s +. 3.0))
           ())
   in
-  (* The write/failover story runs beside the HTTP load: a register on
-     the primary takes acked writes until the armed page-write crash
-     fires, then the harness promotes and re-checks the register —
-     the same probe the consistency audit runs in-process. *)
-  let acked = ref 0 in
-  let write_error = ref None in
-  let lost_acked = ref 0 in
-  let register_ok = ref true in
-  let crash_fired = ref false in
+  (* The crash-then-promote story runs beside the HTTP load: Drill's
+     trial, the one the consistency audit runs in-process, with every
+     step under the engine lock and a 5 ms pause after it. *)
+  let trial = ref (Error "never ran") in
   let writer =
-    Thread.create
-      (fun () ->
-        try
-          let node =
-            App.write app (fun db ->
-                Db.create_node db ~label:"chaos_reg"
-                  (Property.of_list [ ("v", Value.Int 0) ]))
-          in
-          if config.failover then App.kill_primary app ~crash_at_write;
-          (try
-             for i = 1 to config.writes do
-               App.write app (fun db -> Db.set_node_property db node "v" (Value.Int i));
-               acked := i;
-               Thread.delay 0.005
-             done
-           with Fault.Torn_write _ | Fault.Crashed _ | Cluster.Unavailable _ ->
-             crash_fired := true);
-          if !crash_fired && App.primary_down app then begin
-            let p = App.promote app in
-            lost_acked := p.Cluster.lost_acked;
-            let v =
-              App.on_primary app (fun db ->
-                  match Db.node_property db node "v" with Value.Int v -> v | _ -> -1)
-            in
-            register_ok := v = !acked || v = !acked + 1;
-            if not !register_ok then
-              measure "register after failover: v=%d acked=%d" v !acked
-          end
-        with e -> write_error := Some (Printexc.to_string e))
-      ()
+    if not config.failover then None
+    else
+      let step =
+        {
+          Drill.run =
+            (fun f ->
+              let r = App.with_cluster app (fun _ -> f ()) in
+              Thread.delay 0.005;
+              r);
+        }
+      in
+      Some
+        (Thread.create
+           (fun () ->
+             trial :=
+               try
+                 Ok
+                   (Drill.failover_trial ~step (App.cluster app) ~writes:config.writes
+                      ~seed:config.seed)
+               with e -> Error (Printexc.to_string e))
+           ())
   in
   let net_plan =
     Sim_net.plan ~seed:config.seed
@@ -307,7 +288,7 @@ let run config =
     loadgen ~duration_ms:config.fault_ms ~net:(Some net_plan)
       ~retry:(Some Loadgen.default_retry)
   in
-  Thread.join writer;
+  Option.iter Thread.join writer;
   List.iter Thread.join attacker_threads;
   let after_fault = Obs.snapshot () in
   (* -------------------------- phase C: recovery ------------------- *)
@@ -317,23 +298,22 @@ let run config =
   Server.stop server;
   (* -------------------------- oracles ----------------------------- *)
   let verdicts = ref [] in
-  let oracle name passed detail = verdicts := { Verdict.name; passed; detail } :: !verdicts in
-  (* 1: no acked write lost across the kill + failover. *)
+  let add v = verdicts := v :: !verdicts in
+  let oracle name passed detail = add { Verdict.name; passed; detail } in
+  (* 1: no acked write lost across the kill + failover: the trial's
+     own verdicts. *)
   (if not config.failover then
      oracle "no-acked-write-lost" true "failover disabled; nothing to lose"
    else
-     match !write_error with
-     | Some e -> oracle "no-acked-write-lost" false ("writer thread died: " ^ e)
-     | None ->
-       if not !crash_fired then
-         oracle "no-acked-write-lost" false
-           (Printf.sprintf "armed crash at page write %d never fired (%d writes acked)"
-              crash_at_write !acked)
-       else
-         oracle "no-acked-write-lost"
-           (!lost_acked = 0 && !register_ok)
-           (Printf.sprintf "lost_acked=%d register_ok=%b after %d acked writes"
-              !lost_acked !register_ok !acked));
+     match !trial with
+     | Error e -> oracle "no-acked-write-lost" false ("writer thread died: " ^ e)
+     | Ok t ->
+       add
+         (Verdict.all "no-acked-write-lost"
+            ~pass_detail:
+              (Printf.sprintf "all %d acked writes present after failover"
+                 (List.length t.Drill.acked))
+            t.Drill.verdicts));
   (* 2: no hung or leaked worker after a graceful stop. *)
   let active = Server.active_connections server in
   oracle "workers-drained" (active = 0)

@@ -9,3 +9,8 @@ type t = { name : string; passed : bool; detail : string }
 
 val passed : t list -> bool
 (** Every verdict passed (an empty list passes). *)
+
+val all : string -> pass_detail:string -> t list -> t
+(** One verdict named [name] over [verdicts]: it passes when every
+    one of them passes, and its detail is the first failure's detail,
+    or [pass_detail] when none failed. *)

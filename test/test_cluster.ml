@@ -534,32 +534,58 @@ let test_budget_deadline_falls_back_to_primary () =
 (* Failover sweep                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The crash-then-promote trial over 32 seeds. Even seeds run on a
+   primary that already holds [seed] nodes, so the trial's ids do not
+   start at 0. Every trial runs through a wrapper that counts its
+   steps: the chaos campaign's locking relies on every kill, write,
+   promotion and read going through it. *)
 let test_failover_sweep () =
-  let tails = ref 0 in
+  let writes = 80 in
+  let tails = ref 0 and forced = ref 0 in
   for seed = 1 to 32 do
-    let { Drill.cluster; acked; promotion; verdicts } = Drill.failover_trial ~seed in
-    let acked = List.init acked Fun.id in
+    let config =
+      cluster_config ~lag:(Replica.Latency { ticks = 1 }) ~drop_p:0.1 ~policy:Router.Least_lagged
+        ~seed ()
+    in
+    let cluster = Cluster.create ~config () in
+    let preload = if seed mod 2 = 0 then seed else 0 in
+    for i = 1 to preload do
+      write_marker cluster (Cluster.session cluster 0) i
+    done;
+    let steps = ref 0 in
+    let step = { Drill.run = (fun f -> incr steps; f ()) } in
+    let { Drill.acked; promotion; verdicts } = Drill.failover_trial ~step cluster ~writes ~seed in
     check Alcotest.bool (Printf.sprintf "seed %d: verdicts pass" seed) true
       (Mgq_util.Verdict.passed verdicts);
+    (* All writes acked means the seeded crash never fired and a second
+       kill forced it. The steps: the arming kill, every attempted
+       write (the acked ones and the one that died), that second kill,
+       the promotion and the read-back. *)
+    let was_forced = List.length acked = writes in
+    if was_forced then incr forced;
+    check Alcotest.int
+      (Printf.sprintf "seed %d: every kill, write, promotion and read ran through the wrapper" seed)
+      (1 + (List.length acked + 1) + Bool.to_int was_forced + 1 + 1)
+      !steps;
     check Alcotest.int
       (Printf.sprintf "seed %d: zero acked commits lost" seed)
       0 promotion.Cluster.lost_acked;
     check stop_testable
       (Printf.sprintf "seed %d: promoted log scans clean" seed)
       Wal.Clean promotion.Cluster.stop;
-    (* Every acknowledged write is present on the new primary. Writes
-       are create-only, so write i made node i. *)
+    (* Every acknowledged write is present on the new primary, under
+       the id its write returned: acked write i set k = i. *)
     let np = Cluster.primary cluster in
-    List.iter
-      (fun i ->
-        if not (Db.node_exists np i) || Db.node_property np i "k" <> Value.Int i
-        then
-          Alcotest.failf "seed %d: acked write %d missing after failover" seed i)
+    List.iteri
+      (fun i id ->
+        if id < preload || not (Db.node_exists np id) || Db.node_property np id "k" <> Value.Int i
+        then Alcotest.failf "seed %d: acked write %d (node %d) missing after failover" seed i id)
       acked;
     check Alcotest.bool
       (Printf.sprintf "seed %d: nothing beyond the attempted workload" seed)
       true
-      (Db.node_count np >= List.length acked && Db.node_count np <= 81);
+      (Db.node_count np >= preload + List.length acked
+      && Db.node_count np <= preload + writes + 1);
     tails := !tails + promotion.Cluster.tail_applied;
     (* The promoted cluster keeps working, read-your-writes intact. *)
     let s2 = Cluster.session cluster 1 in
@@ -578,8 +604,10 @@ let test_failover_sweep () =
     check Alcotest.bool
       (Printf.sprintf "seed %d: post-failover read-your-writes" seed)
       true
-      (n >= List.length acked + 1)
+      (n >= preload + List.length acked + 1)
   done;
+  check Alcotest.bool "some crashes fired at the seeded point, some were forced" true
+    (!forced > 0 && !forced < 32);
   check Alcotest.bool "some runs replayed a journaled tail" true (!tails > 0)
 
 (* ------------------------------------------------------------------ *)

@@ -262,6 +262,23 @@ let test_audit_passes () =
     check Alcotest.bool "baseline caught anomalies" true (b.Audit.arm_forbidden > 0));
   check Alcotest.bool "report text nonempty" true (String.length (Audit.to_text report) > 0)
 
+(* Every seed of the failover arm must really fail over: a seed whose
+   armed crash never fired would check nothing and still pass. *)
+let test_every_failover_seed_promotes () =
+  let report = Audit.run ~baseline:false () in
+  let never_fired l =
+    let sub = "never fired" in
+    let n = String.length sub in
+    let rec at i = i + n <= String.length l && (String.sub l i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun l -> if never_fired l then Alcotest.failf "a failover seed did not fail over: %s" l)
+    report.Audit.r_lines;
+  check Alcotest.string "32 seeds, 32 promotions"
+    "failover: runs=32 promotions=32 lost_acked=0 failures=0"
+    (List.find (String.starts_with ~prefix:"failover: ") report.Audit.r_lines)
+
 (* ---------------- qcheck: replay equivalence ---------------- *)
 
 (* The satellite property: any seeded concurrent history the checker
@@ -329,6 +346,8 @@ let () =
       ( "audit",
         [
           Alcotest.test_case "end-to-end audit passes (8 seeds)" `Quick test_audit_passes;
+          Alcotest.test_case "every failover seed promotes (32 seeds)" `Quick
+            test_every_failover_seed_promotes;
           qtest prop_commit_order_replay;
         ] );
     ]
