@@ -530,15 +530,6 @@ let subset a b =
   in
   go 0
 
-let inter_cardinality a b =
-  let total = ref 0 in
-  for i = 0 to a.n - 1 do
-    match find_key b a.keys.(i) with
-    | Error _ -> ()
-    | Ok j -> total := !total + container_inter_cardinality a.conts.(i) b.conts.(j)
-  done;
-  !total
-
 let memory_words t =
   let per_container = function
     | Arr a -> 3 + Array.length a.data

@@ -65,10 +65,6 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 (** [subset a b] is true when every member of [a] is in [b]. *)
 
-val inter_cardinality : t -> t -> int
-(** [inter_cardinality a b] = [cardinality (inter a b)] without
-    materialising the intersection. *)
-
 val memory_words : t -> int
 (** Approximate heap footprint in machine words; reported by the
     import benches the way the paper reports database size on disk. *)

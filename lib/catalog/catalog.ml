@@ -339,8 +339,6 @@ let endpoint_labels t ~etype ~dir =
     t.endpoints []
   |> List.sort compare
 
-let has_etype t etype = Hashtbl.mem t.etype_tbl etype
-
 (* ---------------- rendering ---------------- *)
 
 let dir_name out = if out then "out" else "in"

@@ -116,8 +116,6 @@ val endpoint_labels : t -> etype:string -> dir:Mgq_core.Types.direction -> strin
     sorted. Exact over the current graph: an empty list means no such
     edge exists. *)
 
-val has_etype : t -> string -> bool
-
 (* ---------------- rendering ---------------- *)
 
 val dump : t -> string

@@ -86,7 +86,6 @@ let router t = t.router
 let now t = t.now
 let epoch t = t.epoch
 let acked_lsn t = t.acked_lsn
-let primary_down t = t.primary_down
 let head_lsn t = Db.last_lsn t.primary
 
 let session t sid =

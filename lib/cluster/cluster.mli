@@ -80,8 +80,6 @@ val now : t -> int
 val epoch : t -> int
 (** Number of promotions so far. *)
 
-val primary_down : t -> bool
-
 val session : t -> int -> Router.session
 (** Find or create the session with this id. Sessions carry the
     high-water LSN that read-your-writes enforces. *)
@@ -134,7 +132,8 @@ val kill_primary : t -> crash_at_write:int -> unit
 (** Arm a crash fault on the primary's disk: the [crash_at_write]-th
     subsequent page write tears and the disk dies. The write that
     trips it raises ({!Mgq_storage.Fault.Torn_write} or [Crashed])
-    through {!write}, after which {!primary_down} holds. *)
+    through {!write}, after which the primary is down: {!write} raises
+    {!Unavailable} until a {!promote}. *)
 
 type promotion = {
   new_primary : int;  (** id of the promoted replica *)

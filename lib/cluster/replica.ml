@@ -36,7 +36,6 @@ type t = {
   inbox : (int * string * int) Queue.t; (* lsn, frame payload, received at tick *)
   mutable received_lsn : int;
   mutable applied_lsn : int;
-  mutable frames_applied : int;
   mutable drops : int;
   mutable apply_faults : int;
 }
@@ -52,7 +51,6 @@ let create ~id ~lag ~drop_p rng db =
     inbox = Queue.create ();
     received_lsn = lsn;
     applied_lsn = lsn;
-    frames_applied = 0;
     drops = 0;
     apply_faults = 0;
   }
@@ -62,11 +60,8 @@ let db t = t.db
 let lag t = t.lag
 let received_lsn t = t.received_lsn
 let applied_lsn t = t.applied_lsn
-let frames_applied t = t.frames_applied
 let drops t = t.drops
 let apply_faults t = t.apply_faults
-let inbox_depth t = Queue.length t.inbox
-let lag_frames t ~head_lsn = head_lsn - t.applied_lsn
 
 let receive t ~now ~lsn payload =
   if lsn <= t.received_lsn then true (* duplicate resend; already journaled *)
@@ -100,8 +95,7 @@ let apply_head t =
   let lsn, payload, _ = Queue.peek t.inbox in
   Db.apply_redo t.db (Wal.decode_ops payload);
   ignore (Queue.pop t.inbox);
-  t.applied_lsn <- lsn;
-  t.frames_applied <- t.frames_applied + 1
+  t.applied_lsn <- lsn
 
 let apply_ready t ~now ~head_lsn =
   let applied = ref 0 in

@@ -48,14 +48,8 @@ val applied_lsn : t -> int
 (** Highest LSN applied to the database (the visibility high-water
     mark); reads on {!db} observe exactly the prefix [1..applied_lsn]. *)
 
-val frames_applied : t -> int
 val drops : t -> int
 val apply_faults : t -> int
-val inbox_depth : t -> int
-
-val lag_frames : t -> head_lsn:int -> int
-(** How many frames behind the primary's head this replica's applied
-    state is. *)
 
 val receive : t -> now:int -> lsn:int -> string -> bool
 (** Offer one frame as its raw (CRC-verified) payload bytes — the

@@ -16,12 +16,6 @@ let policy_to_string = function
   | Least_lagged -> "least-lagged"
   | Sticky -> "sticky"
 
-let policy_of_string = function
-  | "round-robin" | "rr" -> Some Round_robin
-  | "least-lagged" | "ll" -> Some Least_lagged
-  | "sticky" -> Some Sticky
-  | _ -> None
-
 type session = {
   sid : int;
   mutable high_water : int;

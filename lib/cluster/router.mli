@@ -18,7 +18,6 @@ type policy =
   | Sticky  (** pin each session to [sid mod n] for cache locality *)
 
 val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
 
 type session = {
   sid : int;

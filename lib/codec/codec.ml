@@ -85,16 +85,11 @@ end
 module Dec = struct
   type t = { src : string; limit : int; mutable pos : int }
 
-  let of_string ?(pos = 0) ?len src =
-    let limit = match len with None -> String.length src | Some l -> pos + l in
-    if pos < 0 || limit > String.length src || pos > limit then
-      err "Dec.of_string: window [%d,%d) outside %d bytes" pos limit (String.length src);
-    { src; limit; pos }
+  let of_string src = { src; limit = String.length src; pos = 0 }
 
   let pos t = t.pos
   let remaining t = t.limit - t.pos
-  let at_end t = t.pos >= t.limit
-  let expect_end t = if not (at_end t) then err "Dec: %d trailing bytes" (remaining t)
+  let expect_end t = if t.pos < t.limit then err "Dec: %d trailing bytes" (remaining t)
 
   let byte t =
     if t.pos >= t.limit then err "Dec: truncated at %d" t.pos;

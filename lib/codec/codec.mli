@@ -64,10 +64,9 @@ end
 module Dec : sig
   type t
 
-  val of_string : ?pos:int -> ?len:int -> string -> t
+  val of_string : string -> t
   val pos : t -> int
   val remaining : t -> int
-  val at_end : t -> bool
 
   val expect_end : t -> unit
   (** Raises {!Error} if trailing bytes remain — catches encoder /

@@ -278,5 +278,3 @@ let run ?(seeds = 32) ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4)
     r_verdicts = verdicts;
     r_lines = List.rev !out;
   }
-
-let to_text report = String.concat "\n" report.r_lines ^ "\n"

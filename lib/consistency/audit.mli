@@ -73,7 +73,3 @@ val run :
     baseline and failover arms on. Deterministic: same arguments,
     same report. *)
 
-val to_text : report -> string
-(** The report as the artifact CI uploads. *)
-
-val isolation_name : Mgq_neo.Db.isolation -> string

@@ -29,8 +29,5 @@ val length : t -> int
 val events : t -> event list
 (** In recording order; [idx] is the position. *)
 
-val kind_to_string : kind -> string
-val event_to_string : event -> string
-
 val to_lines : t -> string list
 (** One line per event — the run's artifact form. *)

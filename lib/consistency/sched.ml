@@ -11,25 +11,16 @@ type config = {
   txns_per_session : int;
   ops_per_txn : int;
   registers : int;
-  write_prob : float;
-  abort_prob : float;
   isolation : Db.isolation;
   crash_at_commit : int option;
 }
 
 let config ?(sessions = 4) ?(txns_per_session = 4) ?(ops_per_txn = 4) ?(registers = 3)
-    ?(write_prob = 0.5) ?(abort_prob = 0.15) ?crash_at_commit ~seed ~isolation () =
-  {
-    seed;
-    sessions;
-    txns_per_session;
-    ops_per_txn;
-    registers;
-    write_prob;
-    abort_prob;
-    isolation;
-    crash_at_commit;
-  }
+    ?crash_at_commit ~seed ~isolation () =
+  { seed; sessions; txns_per_session; ops_per_txn; registers; isolation; crash_at_commit }
+
+let write_prob = 0.5
+let abort_prob = 0.15
 
 type run = {
   cfg : config;
@@ -92,10 +83,10 @@ let run cfg =
     let ops =
       List.init cfg.ops_per_txn (fun _ ->
           let r = Rng.int prog_rng cfg.registers in
-          if Rng.chance prog_rng cfg.write_prob then O_write r else O_read r)
+          if Rng.chance prog_rng write_prob then O_write r else O_read r)
     in
     let terminal =
-      if Rng.chance prog_rng cfg.abort_prob then T_abort else T_commit
+      if Rng.chance prog_rng abort_prob then T_abort else T_commit
     in
     { p_ops = ops; p_terminal = terminal }
   in

@@ -26,8 +26,6 @@ type config = {
   txns_per_session : int;
   ops_per_txn : int;
   registers : int;
-  write_prob : float;
-  abort_prob : float;
   isolation : Mgq_neo.Db.isolation;
   crash_at_commit : int option;  (** die mid-WAL-append of the k-th commit attempt *)
 }
@@ -37,15 +35,14 @@ val config :
   ?txns_per_session:int ->
   ?ops_per_txn:int ->
   ?registers:int ->
-  ?write_prob:float ->
-  ?abort_prob:float ->
   ?crash_at_commit:int ->
   seed:int ->
   isolation:Mgq_neo.Db.isolation ->
   unit ->
   config
-(** Defaults: 4 sessions x 4 txns x 4 ops over 3 registers,
-    [write_prob] 0.5, [abort_prob] 0.15, no crash. *)
+(** Defaults: 4 sessions x 4 txns x 4 ops over 3 registers, no
+    crash. Each op writes with probability 0.5; each transaction
+    aborts with probability 0.15. *)
 
 type run = {
   cfg : config;

@@ -15,9 +15,6 @@ let equal a b =
   | Str x, Str y -> String.equal x y
   | (Bool _ | Int _ | Float _ | Str _), _ -> false
 
-let equal_nullable a b =
-  match (a, b) with Null, _ | _, Null -> Null | _ -> Bool (equal a b)
-
 let compare_values a b =
   match (a, b) with
   | Null, _ | _, Null -> None
@@ -44,25 +41,6 @@ let to_display = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f
   | Str s -> Printf.sprintf "%S" s
-
-let to_tsv = function
-  | Null -> "n:"
-  | Bool b -> "b:" ^ string_of_bool b
-  | Int i -> "i:" ^ string_of_int i
-  | Float f -> "f:" ^ Printf.sprintf "%h" f
-  | Str s -> "s:" ^ s
-
-let of_tsv s =
-  let fail () = invalid_arg (Printf.sprintf "Value.of_tsv: %S" s) in
-  if String.length s < 2 || s.[1] <> ':' then fail ();
-  let payload = String.sub s 2 (String.length s - 2) in
-  match s.[0] with
-  | 'n' -> Null
-  | 'b' -> ( match bool_of_string_opt payload with Some b -> Bool b | None -> fail ())
-  | 'i' -> ( match int_of_string_opt payload with Some i -> Int i | None -> fail ())
-  | 'f' -> ( match float_of_string_opt payload with Some f -> Float f | None -> fail ())
-  | 's' -> Str payload
-  | _ -> fail ()
 
 let hash_fold = function
   | Null -> 0

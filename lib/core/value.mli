@@ -15,12 +15,7 @@ type t =
 
 val equal : t -> t -> bool
 (** Value equality with numeric coercion ([Int 1 = Float 1.]) and
-    strict null ([Null] equals nothing, not even [Null] — SQL/Cypher
-    three-valued flavour is handled by {!equal_nullable}). *)
-
-val equal_nullable : t -> t -> t
-(** Three-valued equality: [Null] when either side is null, otherwise
-    [Bool (equal a b)]. *)
+    strict null ([Null] equals nothing, not even [Null]). *)
 
 val compare_values : t -> t -> int option
 (** Ordering for ORDER BY and range predicates: numbers compare
@@ -36,13 +31,6 @@ val type_name : t -> string
 val to_display : t -> string
 (** Human-readable rendering for result tables ("null", "42",
     "\"text\""). *)
-
-val to_tsv : t -> string
-(** Typed serialisation for source files ("i:42", "s:text", ...). *)
-
-val of_tsv : string -> t
-(** Inverse of {!to_tsv}. Raises [Invalid_argument] on malformed
-    input. *)
 
 val hash_fold : t -> int
 (** Stable hash consistent with {!equal} (numeric coercion included),

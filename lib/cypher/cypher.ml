@@ -21,7 +21,6 @@ type cached_plan = {
 type t = {
   db : Db.t;
   planner : planner;
-  compile_cost_ns : int;
   cache : (string, cached_plan) Hashtbl.t;
   mutable compilations : int;
 }
@@ -38,8 +37,10 @@ type result = {
 
 exception Query_error of string
 
-let create ?(planner = Cost_based) ?(compile_cost_ns = 1_500_000) db =
-  { db; planner; compile_cost_ns; cache = Hashtbl.create 64; compilations = 0 }
+let create ?(planner = Cost_based) db =
+  { db; planner; cache = Hashtbl.create 64; compilations = 0 }
+
+let compile_cost_ns = 1_500_000
 
 let db t = t.db
 
@@ -69,7 +70,7 @@ let compile_fresh t text =
   in
   (* Model the compilation cost the paper attributes to re-compiling
      unparameterised queries. *)
-  Cost_model.advance_ns (Sim_disk.cost (Db.disk t.db)) t.compile_cost_ns;
+  Cost_model.advance_ns (Sim_disk.cost (Db.disk t.db)) compile_cost_ns;
   t.compilations <- t.compilations + 1;
   Hashtbl.replace t.cache text cached;
   (cached, { compiled = true; parse_plan_ms = ms })
@@ -209,9 +210,9 @@ let explain_estimated ?params t text =
   let cached, _stats = compile t text in
   String.concat "\n" (explain_lines t.db cached.plan)
 
-let explain_analyze ?(params = []) ?budget t text =
+let explain_analyze ?(params = []) t text =
   let cached, _stats = compile t text in
-  let result = execute_cached ?budget ~params t cached ~profile:true in
+  let result = execute_cached ~params t cached ~profile:true in
   match result.Executor.profile with
   | Some p -> analyze_entries t.db cached.plan p
   | None -> []
@@ -222,7 +223,6 @@ let plan_of t text =
 
 let compilations t = t.compilations
 let cache_size t = Hashtbl.length t.cache
-let clear_cache t = Hashtbl.reset t.cache
 
 let value_rows result =
   List.map (List.map Runtime.item_to_value) result.rows

@@ -16,10 +16,9 @@ type planner =
   | Heuristic  (** {!Plan.plan}: greedy start-point and ordering rules *)
   | Cost_based  (** {!Planner.plan}: statistics-driven enumeration *)
 
-val create : ?planner:planner -> ?compile_cost_ns:int -> Mgq_neo.Db.t -> t
-(** [planner] defaults to [Cost_based]. [compile_cost_ns] (default
-    1_500_000 = 1.5 ms) is the simulated cost charged per
-    compilation.
+val create : ?planner:planner -> Mgq_neo.Db.t -> t
+(** [planner] defaults to [Cost_based]. Each compilation charges 1.5
+    ms of simulated time.
 
     The plan cache is keyed on query text {e and} validated against
     the database's statistics epoch: ANALYZE and index DDL bump the
@@ -79,8 +78,7 @@ type analyze_entry = {
           the standard cardinality-estimation accuracy measure *)
 }
 
-val explain_analyze :
-  ?params:Runtime.params -> ?budget:Mgq_util.Budget.t -> t -> string -> analyze_entry list
+val explain_analyze : ?params:Runtime.params -> t -> string -> analyze_entry list
 (** Execute with profiling and pair each operator's estimate with its
     measured rows and db hits. *)
 
@@ -91,8 +89,6 @@ val compilations : t -> int
 (** Number of cache-miss compilations performed by this session. *)
 
 val cache_size : t -> int
-
-val clear_cache : t -> unit
 
 val value_rows : result -> Mgq_core.Value.t list list
 (** Rows converted to plain values (nodes/edges as ids, paths as

@@ -297,8 +297,3 @@ let annotate db ops =
 let total_cost db ops =
   let ctx = make_ctx db in
   List.fold_left (fun acc op -> acc +. (annotate_op ctx op).est_cost) 0.0 ops
-
-let infer_labels db ops =
-  let ctx = make_ctx db in
-  List.iter (fun op -> ignore (annotate_op ctx op : ann)) ops;
-  List.sort compare (Hashtbl.fold (fun v l acc -> (v, l) :: acc) ctx.labels [])

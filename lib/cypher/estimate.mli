@@ -26,8 +26,3 @@ val annotate : Mgq_neo.Db.t -> Plan.op list -> ann list
 val total_cost : Mgq_neo.Db.t -> Plan.op list -> float
 (** Sum of per-operator costs — the quantity the cost-based planner
     minimises across candidate plans. *)
-
-val infer_labels : Mgq_neo.Db.t -> Plan.op list -> (string * string) list
-(** The variable-to-label bindings the pipeline implies (from seeks,
-    scans, checks and single-label endpoint closures), sorted by
-    variable. *)

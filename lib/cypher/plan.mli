@@ -103,7 +103,6 @@ val ops_so_far : state -> op list
 val emit : state -> op -> unit
 val bind_var : state -> string -> unit
 val is_var_bound : state -> string -> bool
-val fresh_var : state -> string
 
 val var_of : state -> Ast.node_pat -> string
 (** The pattern's variable, or a fresh anonymous one. *)
@@ -118,10 +117,6 @@ val emit_leaf : state -> Ast.node_pat -> string
 val emit_node_residual : state -> string -> Ast.node_pat -> unit
 (** Emit a [Node_check] for the label/property constraints the
     reaching operator did not enforce (no-op when there are none). *)
-
-val plan_path : state -> uniq:string -> Ast.pattern_path -> unit
-(** Plan one path with the greedy heuristic (bound end first, else
-    cheaper leaf). *)
 
 val plan_shortest : state -> Ast.pattern_path -> unit
 

@@ -11,7 +11,6 @@ module Codec = Mgq_codec.Codec
 let m_commits = Obs.counter "db.commits"
 let m_rollbacks = Obs.counter "db.rollbacks"
 let m_tx_conflicts = Obs.counter "db.tx_conflicts"
-let m_tx_retries = Obs.counter "db.tx_retries"
 let m_fsyncs = Obs.counter "wal.fsyncs"
 let m_recovered_frames = Obs.counter "wal.recovered_frames"
 open Mgq_core.Types
@@ -416,7 +415,6 @@ let activate t txn =
 let deactivate t = t.active <- None
 
 let txn_id txn = txn.tx_id
-let txn_is_open txn = txn.tx_open
 let txn_read_set t txn = List.rev_map (describe_vkey t) txn.tx_reads
 let txn_write_set t txn = List.rev_map (fun (k, _) -> describe_vkey t k) txn.tx_entries
 
@@ -503,28 +501,6 @@ let commit_txn t txn =
     close_txn t txn;
     Obs.Counter.incr m_commits;
     Ok ()
-
-let with_txn ?(retries = 0) t f =
-  let rec attempt n =
-    let retry c =
-      if n < retries then begin
-        Obs.Counter.incr m_tx_retries;
-        attempt (n + 1)
-      end
-      else raise (Tx_conflict c)
-    in
-    let txn = begin_txn t in
-    match f txn with
-    | v -> (
-      match commit_txn t txn with Ok () -> v | Error c -> retry c)
-    | exception Tx_conflict c ->
-      if txn.tx_open then rollback_txn t txn;
-      retry c
-    | exception e ->
-      if txn.tx_open then rollback_txn t txn;
-      raise e
-  in
-  attempt 0
 
 (* One transaction around [f], rejected while any other is open: the
    form imports, replication replay and Cypher writes use. *)
@@ -801,35 +777,25 @@ let node_property t id key =
         ~before:prop_before
     end
 
-(* Full property maps resolve each versioned slot individually on top
-   of the in-place chain. *)
-let overlay_props t props owner ~node =
+(* A full property map resolves each versioned slot individually on
+   top of the in-place chain. *)
+let node_properties t id =
+  check_node t id;
+  let props = read_prop_chain t (Record_store.get t.nodes ~id ~field:n_first_prop) in
   if not (mvcc_read_needed t) then props
   else
     Hashtbl.fold
       (fun k _ props ->
         match k with
-        | K_nprop (n, key_id) when node && n = owner ->
+        | K_nprop (n, key_id) when n = id ->
           let v =
             resolve t k
-              ~base:(fun () -> raw_prop t ~store:t.nodes ~owner ~head_field:n_first_prop key_id)
-              ~before:prop_before
-          in
-          Property.set props (Dict.name t.key_dict key_id) v
-        | K_eprop (e, key_id) when (not node) && e = owner ->
-          let v =
-            resolve t k
-              ~base:(fun () -> raw_prop t ~store:t.rels ~owner ~head_field:r_first_prop key_id)
+              ~base:(fun () -> raw_prop t ~store:t.nodes ~owner:id ~head_field:n_first_prop key_id)
               ~before:prop_before
           in
           Property.set props (Dict.name t.key_dict key_id) v
         | _ -> props)
       t.versions props
-
-let node_properties t id =
-  check_node t id;
-  let props = read_prop_chain t (Record_store.get t.nodes ~id ~field:n_first_prop) in
-  overlay_props t props id ~node:true
 
 let edge t id =
   check_edge t id;
@@ -854,11 +820,6 @@ let edge_property t id key =
         ~base:(fun () -> raw_prop t ~store:t.rels ~owner:id ~head_field:r_first_prop key_id)
         ~before:prop_before
     end
-
-let edge_properties t id =
-  check_edge t id;
-  let props = read_prop_chain t (Record_store.get t.rels ~id ~field:r_first_prop) in
-  overlay_props t props id ~node:false
 
 let raw_out_degree t id = Record_store.get t.nodes ~id ~field:n_out_degree
 let raw_in_degree t id = Record_store.get t.nodes ~id ~field:n_in_degree

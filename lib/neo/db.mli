@@ -239,14 +239,7 @@ val rollback_txn : t -> txn -> unit
     no undo runs ({!recover} is the only way forward).
     @raise Tx_error when [txn] is not open. *)
 
-val with_txn : ?retries:int -> t -> (txn -> 'a) -> 'a
-(** Run [f] in a fresh transaction; commit on return, roll back on
-    exception. A {!Tx_conflict} (raised or returned by validation) is
-    retried up to [retries] times (default 0), counted by the
-    [db.tx_retries] metric, before re-raising. *)
-
 val txn_id : txn -> int
-val txn_is_open : txn -> bool
 
 val txn_read_set : t -> txn -> string list
 (** Property keys this transaction read (oldest first), as
@@ -305,7 +298,6 @@ val node_properties : t -> Mgq_core.Types.node_id -> Mgq_core.Property.t
 val edge_exists : t -> Mgq_core.Types.edge_id -> bool
 val edge : t -> Mgq_core.Types.edge_id -> Mgq_core.Types.edge
 val edge_property : t -> Mgq_core.Types.edge_id -> string -> Mgq_core.Value.t
-val edge_properties : t -> Mgq_core.Types.edge_id -> Mgq_core.Property.t
 
 val out_degree : t -> Mgq_core.Types.node_id -> int
 val in_degree : t -> Mgq_core.Types.node_id -> int

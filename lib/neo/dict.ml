@@ -97,11 +97,6 @@ let intern t name =
   | id -> id
   | exception Not_found -> intern_new t name
 
-let find_exn t name =
-  match find t name with
-  | Some id -> id
-  | None -> raise (Mgq_core.Types.Schema_error (Printf.sprintf "unknown name %S" name))
-
 let name t id =
   let by_id = (Atomic.get t.snap).by_id in
   if id < 0 || id >= Array.length by_id then

@@ -38,9 +38,6 @@ val adopt_writer : t -> unit
 val find : t -> string -> int option
 (** Id for an existing name; [None] when never interned. *)
 
-val find_exn : t -> string -> int
-(** @raise Mgq_core.Types.Schema_error when the name is unknown. *)
-
 val name : t -> int -> string
 (** @raise Mgq_core.Types.Schema_error when the id is out of range. *)
 

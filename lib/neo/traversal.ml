@@ -12,9 +12,7 @@ let nodes p = List.rev p.nodes_rev
 type evaluation = { emit : bool; expand : bool }
 
 let include_and_continue = { emit = true; expand = true }
-let exclude_and_continue = { emit = false; expand = true }
 let include_and_prune = { emit = true; expand = false }
-let exclude_and_prune = { emit = false; expand = false }
 
 type order = Breadth_first | Depth_first
 
@@ -94,33 +92,31 @@ let children_of db t visited path =
       ([], visited) raw
     |> fun (acc, vis) -> (List.rev acc, vis)
 
-let traverse db ?budget t start =
+let traverse db t start =
   if t.expanders = [] then invalid_arg "Traversal.traverse: no expander";
-  let cost = Mgq_storage.Sim_disk.cost (Db.disk db) in
   let start_path = { end_node = start; length = 0; nodes_rev = [ start ] } in
-  (* Each forced step runs under the budget, so exhaustion raises from
-     inside the consumer's [Seq] pull — everything already pulled is
-     the partial result. The budgeted section only computes one step;
-     recursion stays in tail position for non-emitted paths. *)
+  (* One forced step; recursion stays in tail position for non-emitted
+     paths. A budget attached around the consumer's [Seq] pull raises
+     from inside it, so everything already pulled is the partial
+     result. *)
   let step agenda visited =
-    Mgq_storage.Cost_model.with_budget cost budget (fun () ->
-        match agenda_pop t agenda with
-        | None -> None
-        | Some (path, agenda) ->
-          let evaluation =
-            if path.length = 0 then include_and_continue else t.evaluator db path
-          in
-          let emit =
-            evaluation.emit && path.length >= t.min_depth && path.length <= t.max_depth
-          in
-          let agenda, visited =
-            if evaluation.expand && path.length < t.max_depth then begin
-              let children, visited = children_of db t visited path in
-              (agenda_push t agenda children, visited)
-            end
-            else (agenda, visited)
-          in
-          Some ((if emit then Some path else None), agenda, visited))
+    match agenda_pop t agenda with
+    | None -> None
+    | Some (path, agenda) ->
+      let evaluation =
+        if path.length = 0 then include_and_continue else t.evaluator db path
+      in
+      let emit =
+        evaluation.emit && path.length >= t.min_depth && path.length <= t.max_depth
+      in
+      let agenda, visited =
+        if evaluation.expand && path.length < t.max_depth then begin
+          let children, visited = children_of db t visited path in
+          (agenda_push t agenda children, visited)
+        end
+        else (agenda, visited)
+      in
+      Some ((if emit then Some path else None), agenda, visited)
   in
   let rec drain agenda visited () =
     match step agenda visited with
@@ -130,5 +126,4 @@ let traverse db ?budget t start =
   in
   drain { front = [ start_path ]; back = [] } (Iset.singleton start)
 
-let traverse_nodes db ?budget t start =
-  Seq.map (fun p -> p.end_node) (traverse db ?budget t start)
+let traverse_nodes db t start = Seq.map (fun p -> p.end_node) (traverse db t start)

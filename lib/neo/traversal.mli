@@ -23,9 +23,7 @@ type evaluation = {
 }
 
 val include_and_continue : evaluation
-val exclude_and_continue : evaluation
 val include_and_prune : evaluation
-val exclude_and_prune : evaluation
 
 type order = Breadth_first | Depth_first
 
@@ -54,18 +52,12 @@ val evaluator : t -> (Db.t -> path -> evaluation) -> t
     depth >= 1; emitted paths are additionally filtered by the depth
     bounds. *)
 
-val traverse :
-  Db.t -> ?budget:Mgq_util.Budget.t -> t -> Mgq_core.Types.node_id -> path Seq.t
-(** Lazy stream of accepted paths. With [budget], every forced step
-    runs under it, so {!Mgq_util.Budget.Exhausted} raises from inside
-    the consumer's pull — paths already pulled stand as the partial
-    result.
+val traverse : Db.t -> t -> Mgq_core.Types.node_id -> path Seq.t
+(** Lazy stream of accepted paths. Under a budget attached to the
+    database's cost model, {!Mgq_util.Budget.Exhausted} raises from
+    inside the consumer's pull — paths already pulled stand as the
+    partial result.
     @raise Invalid_argument when no expander was added. *)
 
-val traverse_nodes :
-  Db.t ->
-  ?budget:Mgq_util.Budget.t ->
-  t ->
-  Mgq_core.Types.node_id ->
-  Mgq_core.Types.node_id Seq.t
+val traverse_nodes : Db.t -> t -> Mgq_core.Types.node_id -> Mgq_core.Types.node_id Seq.t
 (** End nodes of {!traverse}. *)

@@ -271,8 +271,8 @@ let truncate t =
   if t.n_pages > 0 then
     Sim_disk.with_faults_suspended t.disk (fun () -> zero_sentinel t 0)
 
-(* Scan intact frames from a byte window [from_off, limit) served by
-   [read], whose first frame must carry lsn [expected]; folds [f]
+(* Scan intact frames of the log's pages from byte [from_off], whose
+   first frame must carry lsn [expected]; folds [f]
    over each frame's raw payload and reports why the scan stopped.
    Every frame is re-validated (magic, lsn continuity, length, crc)
    so a torn tail or a corrupt shipment is distinguished from a clean
@@ -285,7 +285,8 @@ let truncate t =
    window edge and report [Torn_header]. An earlier version returned
    [Clean] without looking, silently trusting whatever prefix
    happened to parse. *)
-let scan_window ~read ~limit ~from_off ~expected f init =
+let scan t ~from_off ~expected f init =
+  let read = read_bytes t and limit = t.n_pages * Sim_disk.page_size t.disk in
   let rec step acc off expected =
     if off >= limit then (acc, Clean)
     else if off + header_bytes > limit then begin
@@ -315,20 +316,9 @@ let scan_window ~read ~limit ~from_off ~expected f init =
   in
   step init from_off expected
 
-let scan t ~from_off ~expected f init =
-  let limit = t.n_pages * Sim_disk.page_size t.disk in
-  scan_window ~read:(read_bytes t) ~limit ~from_off ~expected f init
-
 let decoding f = fun acc ~lsn payload -> f acc ~lsn (decode_ops payload)
 
-let scan_blob blob ~expected f init =
-  let read off len = Bytes.of_string (String.sub blob off len) in
-  scan_window ~read ~limit:(String.length blob) ~from_off:0 ~expected (decoding f) init
-
 let fold_ops_stop t f init = scan t ~from_off:0 ~expected:(t.base_lsn + 1) (decoding f) init
-
-let fold_ops t f init =
-  fst (fold_ops_stop t (fun acc ~lsn:_ ops -> f acc ops) init)
 
 let from_index t ~lsn =
   if lsn < t.base_lsn then
@@ -346,5 +336,3 @@ let fold_frames_from t ~lsn f init =
   let idx = from_index t ~lsn in
   if idx >= t.records then (init, Clean)
   else scan t ~from_off:t.offsets.(idx) ~expected:(lsn + 1) f init
-
-let valid_records t = fold_ops t (fun n _ -> n + 1) 0

@@ -6,7 +6,7 @@
     — stamped with a monotonically increasing {e log sequence number}
     (LSN). Appends go through {!Mgq_storage.Sim_disk} page writes, so
     an injected crash can land inside a record and tear it;
-    {!fold_ops} replays exactly the prefix of intact records and
+    {!fold_ops_stop} replays exactly the prefix of intact records and
     stops at the first torn or missing frame, which is the whole
     recovery contract: {e a transaction is durable iff its record is
     fully on disk with a valid checksum}.
@@ -91,16 +91,12 @@ val clone : t -> Mgq_storage.Sim_disk.t -> t
 val append_ops : t -> op list -> int
 (** Append one record (one committed transaction); returns its LSN.
     May raise the armed fault plan's exceptions mid-frame — the torn-
-    tail case {!fold_ops} discards. *)
-
-val fold_ops : t -> ('a -> op list -> 'a) -> 'a -> 'a
-(** Scan the log from the start, folding over each intact record's
-    operations; stops at the first invalid frame (torn tail or end of
-    log). *)
+    tail case {!fold_ops_stop} discards. *)
 
 val fold_ops_stop : t -> ('a -> lsn:int -> op list -> 'a) -> 'a -> 'a * stop
-(** Like {!fold_ops} but passes each record's LSN and also returns
-    {e why} the scan stopped. *)
+(** Scan the log from the start, folding over each intact record's
+    LSN and operations; stops at the first invalid frame (torn tail or
+    end of log) and returns {e why} the scan stopped. *)
 
 val fold_from : t -> lsn:int -> ('a -> lsn:int -> op list -> 'a) -> 'a -> 'a * stop
 (** [fold_from t ~lsn f init] streams the suffix strictly after [lsn]
@@ -114,21 +110,9 @@ val fold_frames_from : t -> lsn:int -> ('a -> lsn:int -> string -> 'a) -> 'a -> 
     a replica enqueues the payload and defers {!decode_ops} to apply
     time. *)
 
-val scan_blob : string -> expected:int -> ('a -> lsn:int -> op list -> 'a) -> 'a -> 'a * stop
-(** Scan a raw byte blob of concatenated frames (e.g. a shipped log
-    region), validating exactly as the on-disk scan does: the first
-    frame must carry lsn [expected], and a residual tail shorter than
-    a frame header classifies as [Clean] only when all-zero —
-    non-zero residue is a {!Torn_header}, not a silently accepted
-    prefix. *)
-
-val valid_records : t -> int
-(** Number of records {!fold_ops} would yield — a scan, charging
-    reads. *)
-
 val records : t -> int
 (** Records appended since creation/truncation (in-memory counter;
-    after a crash, trust {!valid_records} instead). *)
+    after a crash, count the records {!fold_ops_stop} yields instead). *)
 
 val base_lsn : t -> int
 (** LSN of the last record truncated away by a checkpoint; the first

@@ -162,18 +162,18 @@ module Registry = struct
     | M_counter c -> c
     | m -> mismatch name m "counter"
 
-  let derived_counter t ?(labels = []) name read =
-    match find_or_add t name labels (fun () -> M_derived (Derived.create read)) with
+  let derived_counter t name read =
+    match find_or_add t name [] (fun () -> M_derived (Derived.create read)) with
     | M_derived _ -> ()
     | m -> mismatch name m "derived counter"
 
-  let gauge t ?(labels = []) name =
-    match find_or_add t name labels (fun () -> M_gauge (Gauge.create ())) with
+  let gauge t name =
+    match find_or_add t name [] (fun () -> M_gauge (Gauge.create ())) with
     | M_gauge g -> g
     | m -> mismatch name m "gauge"
 
-  let histogram t ?(labels = []) ?(buckets = Histogram.default_bounds) name =
-    match find_or_add t name labels (fun () -> M_histogram (Histogram.create buckets)) with
+  let histogram t ?(buckets = Histogram.default_bounds) name =
+    match find_or_add t name [] (fun () -> M_histogram (Histogram.create buckets)) with
     | M_histogram h -> h
     | m -> mismatch name m "histogram"
 
@@ -220,9 +220,9 @@ end
 
 let default = Registry.create ()
 let counter ?labels name = Registry.counter default ?labels name
-let derived_counter ?labels name read = Registry.derived_counter default ?labels name read
-let gauge ?labels name = Registry.gauge default ?labels name
-let histogram ?labels ?buckets name = Registry.histogram default ?labels ?buckets name
+let derived_counter name read = Registry.derived_counter default name read
+let gauge name = Registry.gauge default name
+let histogram ?buckets name = Registry.histogram default ?buckets name
 let snapshot () = Registry.snapshot default
 let reset () = Registry.reset default
 
@@ -404,35 +404,6 @@ module Trace = struct
         List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%s" k v)) s.attrs;
         Buffer.add_string buf
           (Printf.sprintf " [%s]\n" (duration_to_string (Int64.sub s.stop_ns s.start_ns))))
-      (spans ());
-    Buffer.contents buf
-
-  let json_escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let render_json () =
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"start\":%Ld,\"stop\":%Ld,\"attrs\":{%s}}\n"
-             s.id
-             (match s.parent with None -> "null" | Some p -> string_of_int p)
-             (json_escape s.name) s.start_ns s.stop_ns
-             (String.concat ","
-                (List.map
-                   (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                   s.attrs))))
       (spans ());
     Buffer.contents buf
 end

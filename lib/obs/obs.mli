@@ -76,7 +76,7 @@ module Registry : sig
       same handle, so hot paths can resolve once at module init.
       @raise Invalid_argument when [name] exists with another kind. *)
 
-  val derived_counter : t -> ?labels:labels -> string -> (unit -> int) -> unit
+  val derived_counter : t -> string -> (unit -> int) -> unit
   (** Register a counter whose value is not bumped but read: [read]
       returns a monotone running total kept by its owner, called at
       every {!snapshot} (from the snapshotting domain). The metric
@@ -87,9 +87,9 @@ module Registry : sig
       fetched with {!counter}.
       @raise Invalid_argument when [name] exists with another kind. *)
 
-  val gauge : t -> ?labels:labels -> string -> Gauge.t
+  val gauge : t -> string -> Gauge.t
 
-  val histogram : t -> ?labels:labels -> ?buckets:int list -> string -> Histogram.t
+  val histogram : t -> ?buckets:int list -> string -> Histogram.t
   (** [buckets] are the range bounds (sorted and deduplicated;
       default powers of four up to 65536). Bounds are fixed at first
       registration; later calls ignore the argument. *)
@@ -117,17 +117,14 @@ end
 
 val default : Registry.t
 val counter : ?labels:labels -> string -> Counter.t
-val derived_counter : ?labels:labels -> string -> (unit -> int) -> unit
-val gauge : ?labels:labels -> string -> Gauge.t
-val histogram : ?labels:labels -> ?buckets:int list -> string -> Histogram.t
+val derived_counter : string -> (unit -> int) -> unit
+val gauge : string -> Gauge.t
+val histogram : ?buckets:int list -> string -> Histogram.t
 val snapshot : unit -> Registry.sample list
 val reset : unit -> unit
 
 val find_counter : ?labels:labels -> Registry.sample list -> string -> int option
 (** Lookup helper for tests and oracles. *)
-
-val labels_to_string : labels -> string
-(** ["k1=v1,k2=v2"] in canonical (sorted) order; [""] when empty. *)
 
 val rows : Registry.sample list -> (string * string * string) list
 (** (name, labels, value) rows — histograms expand to one row per
@@ -190,5 +187,4 @@ module Trace : sig
   (** Chain of enclosing spans, innermost first. *)
 
   val render_tree : unit -> string
-  val render_json : unit -> string
 end

@@ -18,9 +18,8 @@ module Sdb = Mgq_sparks.Sdb
 module Objects = Mgq_sparks.Objects
 open Mgq_core.Types
 
-type pagerank_config = { damping : float; iterations : int }
-
-let default_pagerank = { damping = 0.85; iterations = 20 }
+let damping = 0.85
+let iterations = 20
 
 (* ------------------------------------------------------------------ *)
 (* Record-store engine                                                 *)
@@ -28,7 +27,7 @@ let default_pagerank = { damping = 0.85; iterations = 20 }
 
 (* PageRank over one edge type. Returns (node id, score), best first.
    Dangling mass is redistributed uniformly, so scores sum to ~1. *)
-let pagerank_neo ?(config = default_pagerank) db ~etype =
+let pagerank_neo db ~etype =
   let nodes = Array.of_seq (Db.all_nodes db) in
   let n = Array.length nodes in
   if n = 0 then []
@@ -39,8 +38,8 @@ let pagerank_neo ?(config = default_pagerank) db ~etype =
       Array.map (fun node -> Seq.length (Db.edges_of db node ~etype Out)) nodes
     in
     let rank = Array.make n (1. /. float_of_int n) in
-    for _ = 1 to config.iterations do
-      let next = Array.make n ((1. -. config.damping) /. float_of_int n) in
+    for _ = 1 to iterations do
+      let next = Array.make n ((1. -. damping) /. float_of_int n) in
       let dangling = ref 0. in
       Array.iteri
         (fun i node ->
@@ -50,11 +49,11 @@ let pagerank_neo ?(config = default_pagerank) db ~etype =
             Seq.iter
               (fun (e : edge) ->
                 let j = Hashtbl.find index e.dst in
-                next.(j) <- next.(j) +. (config.damping *. share))
+                next.(j) <- next.(j) +. (damping *. share))
               (Db.edges_of db node ~etype Out)
           end)
         nodes;
-      let dangling_share = config.damping *. !dangling /. float_of_int n in
+      let dangling_share = damping *. !dangling /. float_of_int n in
       Array.iteri (fun j v -> rank.(j) <- v +. dangling_share) next
     done;
     Array.to_list (Array.mapi (fun i node -> (node, rank.(i))) nodes)
@@ -97,7 +96,7 @@ let components_neo db ~etype =
 (* Bitmap engine                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let pagerank_sparks ?(config = default_pagerank) sdb ~node_types ~etype =
+let pagerank_sparks sdb ~node_types ~etype =
   let nodes =
     List.concat_map (fun t -> Objects.to_list (Sdb.objects_of_type sdb t)) node_types
     |> Array.of_list
@@ -109,8 +108,8 @@ let pagerank_sparks ?(config = default_pagerank) sdb ~node_types ~etype =
     Array.iteri (fun i oid -> Hashtbl.replace index oid i) nodes;
     let out_degree = Array.map (fun oid -> Sdb.degree sdb oid etype Out) nodes in
     let rank = Array.make n (1. /. float_of_int n) in
-    for _ = 1 to config.iterations do
-      let next = Array.make n ((1. -. config.damping) /. float_of_int n) in
+    for _ = 1 to iterations do
+      let next = Array.make n ((1. -. damping) /. float_of_int n) in
       let dangling = ref 0. in
       Array.iteri
         (fun i oid ->
@@ -122,11 +121,11 @@ let pagerank_sparks ?(config = default_pagerank) sdb ~node_types ~etype =
             Objects.iter
               (fun e ->
                 let j = Hashtbl.find index (Sdb.head_of sdb e) in
-                next.(j) <- next.(j) +. (config.damping *. share))
+                next.(j) <- next.(j) +. (damping *. share))
               (Sdb.explode sdb oid etype Out)
           end)
         nodes;
-      let dangling_share = config.damping *. !dangling /. float_of_int n in
+      let dangling_share = damping *. !dangling /. float_of_int n in
       Array.iteri (fun j v -> rank.(j) <- v +. dangling_share) next
     done;
     Array.to_list (Array.mapi (fun i oid -> (oid, rank.(i))) nodes)
@@ -165,20 +164,20 @@ let components_sparks sdb ~node_types ~etype =
 (* Reference oracle over the raw dataset                               *)
 (* ------------------------------------------------------------------ *)
 
-let pagerank_reference ?(config = default_pagerank) (r : Reference.t) =
+let pagerank_reference (r : Reference.t) =
   let n = r.Reference.d.Mgq_twitter.Dataset.n_users in
   let rank = Array.make n (1. /. float_of_int n) in
-  for _ = 1 to config.iterations do
-    let next = Array.make n ((1. -. config.damping) /. float_of_int n) in
+  for _ = 1 to iterations do
+    let next = Array.make n ((1. -. damping) /. float_of_int n) in
     let dangling = ref 0. in
     for u = 0 to n - 1 do
       match r.Reference.followees.(u) with
       | [] -> dangling := !dangling +. rank.(u)
       | followees ->
         let share = rank.(u) /. float_of_int (List.length followees) in
-        List.iter (fun v -> next.(v) <- next.(v) +. (config.damping *. share)) followees
+        List.iter (fun v -> next.(v) <- next.(v) +. (damping *. share)) followees
     done;
-    let dangling_share = config.damping *. !dangling /. float_of_int n in
+    let dangling_share = damping *. !dangling /. float_of_int n in
     Array.iteri (fun j v -> rank.(j) <- v +. dangling_share) next
   done;
   rank

@@ -6,15 +6,10 @@
     oracle, and a bench (E2) quantifying how much heavier they are
     than every navigational query. *)
 
-type pagerank_config = { damping : float; iterations : int }
-
-val default_pagerank : pagerank_config
-(** damping 0.85, 20 iterations. *)
-
-val pagerank_neo :
-  ?config:pagerank_config -> Mgq_neo.Db.t -> etype:string -> (int * float) list
-(** Power iteration over all nodes, following one relationship type;
-    dangling mass redistributed uniformly so scores sum to ~1.
+val pagerank_neo : Mgq_neo.Db.t -> etype:string -> (int * float) list
+(** Power iteration over all nodes, following one relationship type
+    (damping 0.85, 20 iterations); dangling mass redistributed
+    uniformly so scores sum to ~1.
     Returns (node id, score) best-first, ties by id. *)
 
 val components_neo : Mgq_neo.Db.t -> etype:string -> int list list
@@ -23,11 +18,7 @@ val components_neo : Mgq_neo.Db.t -> etype:string -> int list list
     nodes form singleton components. *)
 
 val pagerank_sparks :
-  ?config:pagerank_config ->
-  Mgq_sparks.Sdb.t ->
-  node_types:int list ->
-  etype:int ->
-  (int * float) list
+  Mgq_sparks.Sdb.t -> node_types:int list -> etype:int -> (int * float) list
 (** Same semantics on the bitmap engine, restricted to the given node
     types; mass flows along [explode]d edges so parallel edges carry
     mass independently, matching the record-store behaviour. *)
@@ -36,7 +27,7 @@ val components_sparks :
   Mgq_sparks.Sdb.t -> node_types:int list -> etype:int -> int list list
 (** Frontier-at-a-time BFS with Objects set algebra. *)
 
-val pagerank_reference : ?config:pagerank_config -> Reference.t -> float array
+val pagerank_reference : Reference.t -> float array
 (** Oracle over the raw follows arrays: index = uid. *)
 
 val components_reference : Reference.t -> int list list

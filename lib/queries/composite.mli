@@ -13,9 +13,6 @@ type expert = {
   distance : int option;  (** follows-hops from the asking user; [None] = unreachable *)
 }
 
-val order_experts : expert list -> expert list
-(** Closest first, unreachable last, ties by uid. *)
-
 val run_neo :
   Contexts.neo ->
   uid:int ->

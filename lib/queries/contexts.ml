@@ -47,15 +47,16 @@ type sparks = {
    and the claims tests reproduce them through this context. Pass
    [~planner:Cypher.Cost_based] to study the statistics-driven
    planner instead. *)
-let build_neo ?(planner = Cypher.Heuristic) ?pool_pages
-    ?(checkpoint_dirty_pages = Import_neo.default_checkpoint_pages) ?batch dataset =
-  let db = Db.create ?pool_pages ~checkpoint_dirty_pages () in
-  let report, users, tweets, hashtags = Import_neo.run ?batch db dataset in
+let build_neo ?(planner = Cypher.Heuristic) ?pool_pages dataset =
+  let db =
+    Db.create ?pool_pages ~checkpoint_dirty_pages:Import_neo.default_checkpoint_pages ()
+  in
+  let report, users, tweets, hashtags = Import_neo.run db dataset in
   { db; session = Cypher.create ~planner db; users; tweets; hashtags; report }
 
-let build_sparks ?(materialize_neighbors = false) ?options dataset =
+let build_sparks ?(materialize_neighbors = false) dataset =
   let sdb = Sdb.create ~materialize_neighbors () in
-  let s_report, s_users, s_tweets, s_hashtags = Import_sparks.run ?options sdb dataset in
+  let s_report, s_users, s_tweets, s_hashtags = Import_sparks.run sdb dataset in
   let t_user = Sdb.find_type sdb Schema.user in
   let t_tweet = Sdb.find_type sdb Schema.tweet in
   let t_hashtag = Sdb.find_type sdb Schema.hashtag in

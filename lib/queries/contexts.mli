@@ -40,12 +40,10 @@ type sparks = {
 val build_neo :
   ?planner:Mgq_cypher.Cypher.planner ->
   ?pool_pages:int ->
-  ?checkpoint_dirty_pages:int ->
-  ?batch:int ->
   Mgq_twitter.Dataset.t ->
   neo
 (** Import into a fresh record-store engine (checkpoint threshold
-    defaults to {!Mgq_twitter.Import_neo.default_checkpoint_pages})
+    {!Mgq_twitter.Import_neo.default_checkpoint_pages})
     and open a Cypher session on it. [planner] defaults to
     [Heuristic] — the paper's Section-4 phrasing-sensitivity claims
     are properties of the heuristic planner and the claims tests
@@ -53,7 +51,6 @@ val build_neo :
 
 val build_sparks :
   ?materialize_neighbors:bool ->
-  ?options:Mgq_twitter.Import_sparks.options ->
   Mgq_twitter.Dataset.t ->
   sparks
 (** Import into a fresh bitmap engine and resolve all schema

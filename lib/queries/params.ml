@@ -18,10 +18,12 @@ let users_by_mention_degree (r : Reference.t) =
   List.sort compare pairs
 
 (* Users ordered by 2-step follows fan-out (the intermediate-result
-   size of Q4.1), as (fanout, uid). Capped sampling keeps this cheap. *)
-let users_by_two_step_fanout ?(sample = 400) ?(seed = 7) (r : Reference.t) =
+   size of Q4.1), as (fanout, uid). Sampling at most [sample] users
+   keeps this cheap. *)
+let users_by_two_step_fanout (r : Reference.t) =
+  let sample = 400 in
   let n = r.Reference.d.Mgq_twitter.Dataset.n_users in
-  let rng = Rng.create seed in
+  let rng = Rng.create 7 in
   let candidates =
     if n <= sample then List.init n Fun.id else Rng.sample_without_replacement rng sample n
   in
@@ -31,17 +33,6 @@ let users_by_two_step_fanout ?(sample = 400) ?(seed = 7) (r : Reference.t) =
       0 r.Reference.followees.(uid)
   in
   List.sort compare (List.map (fun uid -> (fanout uid, uid)) candidates)
-
-(* Hashtags ordered by usage count, as (count, tag). *)
-let hashtags_by_usage (r : Reference.t) =
-  let pairs =
-    Array.to_list
-      (Array.mapi
-         (fun h tweets ->
-           (List.length tweets, r.Reference.d.Mgq_twitter.Dataset.hashtags.(h)))
-         r.Reference.tweets_tagging)
-  in
-  List.sort compare pairs
 
 (* Pick [count] values spread evenly across a sorted (weight, item)
    list — low, middle and high weights all represented, as in the
@@ -55,9 +46,9 @@ let spread count sorted =
 
 (* User pairs bucketed by undirected follows hop distance 1..max_hops:
    [(length, (uid1, uid2)); ...], [per_bucket] pairs per length. *)
-let pairs_by_path_length ?(seed = 11) ?(per_bucket = 5) ~max_hops (r : Reference.t) =
+let pairs_by_path_length ?(per_bucket = 5) ~max_hops (r : Reference.t) =
   let n = r.Reference.d.Mgq_twitter.Dataset.n_users in
-  let rng = Rng.create seed in
+  let rng = Rng.create 11 in
   let buckets = Hashtbl.create 8 in
   let bucket_size l =
     match Hashtbl.find_opt buckets l with Some xs -> List.length !xs | None -> 0

@@ -8,13 +8,9 @@
 val users_by_mention_degree : Reference.t -> (int * int) list
 (** All users as (mention degree, uid), ascending by degree. *)
 
-val users_by_two_step_fanout :
-  ?sample:int -> ?seed:int -> Reference.t -> (int * int) list
-(** A deterministic sample of users as (2-step follows fan-out, uid),
-    ascending — the intermediate-result size of Q4.1. *)
-
-val hashtags_by_usage : Reference.t -> (int * string) list
-(** All hashtags as (usage count, tag), ascending. *)
+val users_by_two_step_fanout : Reference.t -> (int * int) list
+(** A deterministic sample of at most 400 users as (2-step follows
+    fan-out, uid), ascending — the intermediate-result size of Q4.1. *)
 
 val spread : int -> (int * 'a) list -> (int * 'a) list
 (** [spread count sorted] picks [count] entries evenly across a sorted
@@ -22,7 +18,7 @@ val spread : int -> (int * 'a) list -> (int * 'a) list
     represented. *)
 
 val pairs_by_path_length :
-  ?seed:int -> ?per_bucket:int -> max_hops:int -> Reference.t -> (int * (int * int)) list
+  ?per_bucket:int -> max_hops:int -> Reference.t -> (int * (int * int)) list
 (** User pairs bucketed by undirected follows hop distance:
     [(length, (uid1, uid2)); ...], up to [per_bucket] pairs per length
     in 1..max_hops, found by deterministic rejection sampling. *)

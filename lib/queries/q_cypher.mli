@@ -7,10 +7,6 @@
 
 val text_q1 : string
 
-val text_q1_band : string
-(** Conjunctive selection, "easily expressed in Cypher with logical
-    operators". *)
-
 val text_q2_1 : string
 val text_q2_2 : string
 val text_q2_3 : string

@@ -95,15 +95,15 @@ let q2_3 ?budget (ctx : Contexts.sparks) ~uid =
    traversals using the Traversal or Context classes"; the paper found
    the raw operations "slightly more efficient ... perhaps due to the
    overhead involved with the traversals". *)
-let q2_3_context ?budget (ctx : Contexts.sparks) ~uid =
+let q2_3_context (ctx : Contexts.sparks) ~uid =
   match oid_of_uid ctx uid with
   | None -> Results.Tags []
   | Some a ->
     let sdb = ctx.Contexts.sdb in
     let c0 = Straversal.Context.start sdb (Objects.of_list [ a ]) in
-    let c1 = Straversal.Context.expand ?budget c0 ~etype:ctx.Contexts.t_follows Out in
-    let c2 = Straversal.Context.expand ?budget c1 ~etype:ctx.Contexts.t_posts Out in
-    let c3 = Straversal.Context.expand ?budget c2 ~etype:ctx.Contexts.t_tags Out in
+    let c1 = Straversal.Context.expand c0 ~etype:ctx.Contexts.t_follows Out in
+    let c2 = Straversal.Context.expand c1 ~etype:ctx.Contexts.t_posts Out in
+    let c3 = Straversal.Context.expand c2 ~etype:ctx.Contexts.t_tags Out in
     Results.Tags
       (List.sort compare
          (List.map (tag_of ctx) (Objects.to_list (Straversal.Context.frontier c3))))

@@ -22,12 +22,9 @@ val q2_3 : ?budget:Mgq_util.Budget.t -> Contexts.sparks -> uid:int -> Results.t
 (** With [budget], exhaustion raises {!Results.Budget_exhausted}
     carrying the tags collected so far. *)
 
-val q2_3_context :
-  ?budget:Mgq_util.Budget.t -> Contexts.sparks -> uid:int -> Results.t
+val q2_3_context : Contexts.sparks -> uid:int -> Results.t
 (** Q2.3 through the Traversal/Context classes instead of raw
-    navigation ops, for the Section 4 overhead comparison. A budgeted
-    run raises bare {!Mgq_util.Budget.Exhausted} — the frontier sets
-    live inside the context, so there is no meaningful partial. *)
+    navigation ops, for the Section 4 overhead comparison. *)
 
 val q3_1 : Contexts.sparks -> uid:int -> n:int -> Results.t
 val q3_2 : Contexts.sparks -> tag:string -> n:int -> Results.t

@@ -44,8 +44,6 @@ val budgeted :
 
 val sort_ids : int list -> int list
 val sort_counted : (int * int) list -> (int * int) list
-val sort_tag_counts : (string * int) list -> (string * int) list
-
 val take : int -> 'a list -> 'a list
 
 val top_n_counted : int -> (int, int) Hashtbl.t -> (int * int) list

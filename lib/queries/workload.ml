@@ -170,8 +170,6 @@ let find id = List.find_opt (fun q -> q.id = id) all
    lookups last. *)
 type cost_class = Cheap | Moderate | Expensive
 
-let all_cost_classes = [ Cheap; Moderate; Expensive ]
-
 let cost_class_to_string = function
   | Cheap -> "cheap"
   | Moderate -> "moderate"

@@ -50,13 +50,6 @@ val find : string -> query option
 
 type cost_class = Cheap | Moderate | Expensive
 
-val all_cost_classes : cost_class list
-(** [[Cheap; Moderate; Expensive]] — shedding order, last shed first. *)
-
 val cost_class_to_string : cost_class -> string
-
-val cost_class_of_category : string -> cost_class
-(** From a Table 2 category name; unknown categories classify as
-    [Expensive] (fail safe: unknown cost sheds first). *)
 
 val cost_class : query -> cost_class

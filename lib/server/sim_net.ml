@@ -1,6 +1,6 @@
 (* Seeded network fault injection: a transport wrapper over a Unix fd
    that misbehaves on purpose. The serving stack's untested failure
-   surface is byte-level — a peer that trickles one byte per 40 ms, a
+   surface is byte-level — a peer that sends in tiny pieces, a
    connection reset mid-request or mid-response, a first byte that
    arrives late — and none of it shows up under a well-behaved
    loopback client. Sim_net makes those behaviours reproducible: every
@@ -42,8 +42,6 @@ type plan = {
   mutex : Mutex.t;
   first_byte_delay_ns : int;
   chunk : int;  (* bytes per write; 0 = whole buffer at once *)
-  gap_ns : int;  (* pause between chunked writes *)
-  recv_chunk : int;  (* bytes per read; 0 = caller's buffer size *)
   reset_send_p : float;
   reset_recv_p : float;
   mutable suspend_depth : int;
@@ -56,10 +54,9 @@ type plan = {
   mutable first_byte_delays : int;
 }
 
-let plan ?(seed = 0) ?(first_byte_delay_ns = 0) ?(chunk = 0) ?(gap_ns = 0)
-    ?(recv_chunk = 0) ?(reset_send_p = 0.) ?(reset_recv_p = 0.) () =
+let plan ?(seed = 0) ?(first_byte_delay_ns = 0) ?(chunk = 0) ?(reset_send_p = 0.)
+    ?(reset_recv_p = 0.) () =
   if chunk < 0 then invalid_arg "Sim_net.plan: chunk < 0";
-  if recv_chunk < 0 then invalid_arg "Sim_net.plan: recv_chunk < 0";
   if reset_send_p < 0. || reset_send_p > 1. then invalid_arg "Sim_net.plan: reset_send_p";
   if reset_recv_p < 0. || reset_recv_p > 1. then invalid_arg "Sim_net.plan: reset_recv_p";
   {
@@ -67,8 +64,6 @@ let plan ?(seed = 0) ?(first_byte_delay_ns = 0) ?(chunk = 0) ?(gap_ns = 0)
     mutex = Mutex.create ();
     first_byte_delay_ns;
     chunk;
-    gap_ns;
-    recv_chunk;
     reset_send_p;
     reset_recv_p;
     suspend_depth = 0;
@@ -192,8 +187,7 @@ let send c s =
        let n = min chunk (limit - !off) in
        write_all c.fd s !off n;
        tally c.plan (fun p -> p.bytes_sent <- p.bytes_sent + n);
-       off := !off + n;
-       if !off < limit && c.plan.suspend_depth = 0 then sleep_ns c.plan.gap_ns
+       off := !off + n
      done
    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) when reset ->
      (* The peer beat us to the teardown; fold it into the injection. *)
@@ -205,7 +199,6 @@ let recv c buf =
   let reset = draw c.plan c.plan.reset_recv_p in
   if reset then inject_reset c ~op:Recv ~at:0;
   let want = Bytes.length buf in
-  let want = if c.plan.recv_chunk > 0 then min want c.plan.recv_chunk else want in
   if want = 0 then 0
   else begin
     let n = Unix.read c.fd buf 0 want in

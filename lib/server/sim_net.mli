@@ -2,8 +2,8 @@
 
     The transport-layer sibling of [Mgq_storage.Sim_disk]: wrap a
     connected socket in a {!conn} and every send/recv goes through a
-    fault plan that can trickle bytes, delay the first byte, split
-    writes into tiny chunks, and inject real connection resets
+    fault plan that can delay the first byte, split writes into tiny
+    chunks, and inject real connection resets
     (SO_LINGER 0 + close, so the peer sees ECONNRESET, not EOF) —
     all driven by one PRNG seed.
 
@@ -35,17 +35,13 @@ val plan :
   ?seed:int ->
   ?first_byte_delay_ns:int ->
   ?chunk:int ->
-  ?gap_ns:int ->
-  ?recv_chunk:int ->
   ?reset_send_p:float ->
   ?reset_recv_p:float ->
   unit ->
   plan
-(** All faults default off: no delay, whole-buffer writes, no pacing,
-    full-size reads, zero reset probability. [chunk = 1] with
-    [gap_ns = 40_000_000] is the canonical slowloris attacker. The
-    plan is thread-safe; one plan may drive many connections (they
-    share the seeded stream). *)
+(** All faults default off: no delay, whole-buffer writes, zero reset
+    probability. The plan is thread-safe; one plan may drive many
+    connections (they share the seeded stream). *)
 
 type conn
 
@@ -62,13 +58,13 @@ val close : conn -> unit
 
 val send : conn -> string -> unit
 (** Write the whole string through the fault plan: first-byte delay
-    (once per connection), chunked writes with [gap_ns] pauses, and
+    (once per connection), writes split into [chunk]-byte pieces, and
     possibly an injected reset after a seeded prefix.
     @raise Injected_reset when the plan cuts the connection. *)
 
 val recv : conn -> bytes -> int
-(** Read at most [recv_chunk] (when set) bytes into [buf]. Returns 0
-    at EOF, like [Unix.read].
+(** Read at most [Bytes.length buf] bytes into [buf]. Returns 0 at
+    EOF, like [Unix.read].
     @raise Injected_reset when the plan cuts the connection. *)
 
 val with_suspended : plan -> (unit -> 'a) -> 'a

@@ -26,5 +26,4 @@ let sample t rng =
 
 let equal = Bitmap.equal
 let memory_words = Bitmap.memory_words
-let internal_bitmap t = t
 let of_bitmap t = t

@@ -37,9 +37,5 @@ val sample : t -> Mgq_util.Rng.t -> int
 val equal : t -> t -> bool
 val memory_words : t -> int
 
-val internal_bitmap : t -> Mgq_bitmap.Bitmap.t
-(** Escape hatch for the engine; not part of the public surface area
-    users should rely on. *)
-
 val of_bitmap : Mgq_bitmap.Bitmap.t -> t
 (** Wrap without copying: the engine hands out copies already. *)

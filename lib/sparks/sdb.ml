@@ -448,16 +448,6 @@ let edge_peer t edge node =
   else if e.head = node then e.tail
   else invalid_arg "Sdb.edge_peer: node is not an endpoint"
 
-let is_node t oid = Hashtbl.mem t.nodes oid
-let is_edge t oid = Hashtbl.mem t.edges oid
-
-let node_type_of t oid =
-  match Hashtbl.find_opt t.nodes oid with
-  | Some id -> id
-  | None -> raise (Node_not_found oid)
-
-let edge_type_of t oid = (edge_info t oid).etype
-
 let links_of t table etype node =
   charge t;
   match Hashtbl.find_opt table (etype, node) with

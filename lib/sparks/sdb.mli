@@ -138,11 +138,6 @@ val edge_peer : t -> int -> int -> int
 (** [edge_peer t edge node]: the other endpoint.
     @raise Invalid_argument when [node] is not an endpoint. *)
 
-val is_node : t -> int -> bool
-val is_edge : t -> int -> bool
-val node_type_of : t -> int -> int
-val edge_type_of : t -> int -> int
-
 val node_count : t -> int
 val edge_count : t -> int
 

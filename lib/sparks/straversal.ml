@@ -18,9 +18,8 @@ let add_edge_type t etype dir = { t with expanders = t.expanders @ [ (etype, dir
 let set_order t order = { t with order }
 let set_max_depth t max_depth = { t with max_depth }
 
-let run ?budget t =
+let run t =
   if t.expanders = [] then invalid_arg "Straversal.run: no edge type added";
-  Mgq_storage.Cost_model.with_budget (Sdb.cost t.db) budget @@ fun () ->
   let visited = Hashtbl.create 256 in
   Hashtbl.replace visited t.start ();
   let results = ref [] in
@@ -59,8 +58,7 @@ module Context = struct
   let start db frontier =
     { db; frontier = Objects.copy frontier; visited = Objects.copy frontier; depth = 0 }
 
-  let expand ?budget ctx ~etype dir =
-    Mgq_storage.Cost_model.with_budget (Sdb.cost ctx.db) budget @@ fun () ->
+  let expand ctx ~etype dir =
     Obs.Trace.with_span "straversal.expand"
       ~attrs:[ ("depth", string_of_int (ctx.depth + 1)) ]
     @@ fun () ->

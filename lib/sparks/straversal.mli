@@ -19,10 +19,9 @@ val add_edge_type : t -> int -> Mgq_core.Types.direction -> t
 val set_order : t -> order -> t
 val set_max_depth : t -> int -> t
 
-val run : ?budget:Mgq_util.Budget.t -> t -> (int * int) list
+val run : t -> (int * int) list
 (** Visited (node oid, depth) pairs, start excluded, each node once
-    (first visit), in traversal order. With [budget] the whole walk
-    runs under it and may raise {!Mgq_util.Budget.Exhausted}.
+    (first visit), in traversal order.
     @raise Invalid_argument when no edge type was added. *)
 
 module Context : sig
@@ -31,11 +30,9 @@ module Context : sig
   val start : Sdb.t -> Objects.t -> ctx
   (** Begin from a frontier set. *)
 
-  val expand :
-    ?budget:Mgq_util.Budget.t -> ctx -> etype:int -> Mgq_core.Types.direction -> ctx
+  val expand : ctx -> etype:int -> Mgq_core.Types.direction -> ctx
   (** One step: the new frontier is the set of unvisited neighbors of
-      the current frontier. With [budget] the step runs under it and
-      may raise {!Mgq_util.Budget.Exhausted}. *)
+      the current frontier. *)
 
   val frontier : ctx -> Objects.t
   val visited : ctx -> Objects.t

@@ -155,7 +155,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 
-let set_budget t budget = t.budget <- budget
 let budget t = t.budget
 
 let with_budget t budget f =

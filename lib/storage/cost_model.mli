@@ -51,14 +51,6 @@ type t
 val create : ?config:config -> unit -> t
 val config : t -> config
 
-val set_budget : t -> Mgq_util.Budget.t option -> unit
-(** Attach (or clear) a query budget. While attached, every db hit
-    charges it one hit, and every accounted event charges its
-    simulated nanoseconds, so [max_ns] acts as a deterministic
-    deadline. Charging past a ceiling raises
-    {!Mgq_util.Budget.Exhausted} from inside the accounting call —
-    attach only around read paths, and clear with [Fun.protect]. *)
-
 val budget : t -> Mgq_util.Budget.t option
 
 val with_budget : t -> Mgq_util.Budget.t option -> (unit -> 'a) -> 'a
@@ -66,7 +58,11 @@ val with_budget : t -> Mgq_util.Budget.t option -> (unit -> 'a) -> 'a
     the previously attached budget afterwards (even on raise); with
     [None] it is just [f ()] — an enclosing attachment stays in
     force. The scoping primitive behind every [?budget] argument in
-    the query layers. *)
+    the query layers. While attached, every db hit charges the budget
+    one hit, and every accounted event charges its simulated
+    nanoseconds, so [max_ns] acts as a deterministic deadline.
+    Charging past a ceiling raises {!Mgq_util.Budget.Exhausted} from
+    inside the accounting call, so attach only around read paths. *)
 
 val set_faults : t -> Fault.plan option -> unit
 (** Attach (or clear) a fault plan consulted on every db hit; engines

@@ -1,11 +1,5 @@
 type io_op = Page_read | Page_write | Page_flush | Db_hit
 
-let io_op_to_string = function
-  | Page_read -> "page_read"
-  | Page_write -> "page_write"
-  | Page_flush -> "page_flush"
-  | Db_hit -> "db_hit"
-
 exception Io_error of { op : io_op; at : int }
 exception Torn_write of { page : int; persisted : int }
 exception Crashed of { writes : int }

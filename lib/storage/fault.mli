@@ -22,8 +22,6 @@
 
 type io_op = Page_read | Page_write | Page_flush | Db_hit
 
-val io_op_to_string : io_op -> string
-
 exception Io_error of { op : io_op; at : int }
 (** Transient failure. [at] is the page id (page ops) or the db-hit
     ordinal (record ops). Nothing was mutated; the operation can be

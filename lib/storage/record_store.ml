@@ -30,7 +30,6 @@ let create disk ~name ~fields =
 let clone t disk = { t with disk; cost = Sim_disk.cost disk; page_table = Array.copy t.page_table }
 
 let name t = t.name
-let field_count t = t.fields
 let count t = t.count
 
 let locate t id =

@@ -19,7 +19,6 @@ val clone : t -> Sim_disk.t -> t
     independently. *)
 
 val name : t -> string
-val field_count : t -> int
 
 val allocate : t -> int
 (** Append a zeroed record; returns its id. Ids are dense from 0. *)
@@ -44,12 +43,12 @@ val read4 : t -> id:int -> f0:int -> f1:int -> f2:int -> f3:int -> int * int * i
 
 val read_into : t -> id:int -> int array -> unit
 (** All fields decoded into a caller-owned scratch array (length at
-    least [field_count]): one db hit, zero allocation. The hot chain
+    least the store's field count): one db hit, zero allocation. The hot chain
     walks reuse one scratch array across every step. *)
 
 val set_record : t -> id:int -> int array -> unit
 (** Write all fields with a single db hit / page access. The array
-    length must equal [field_count]. *)
+    length must equal the store's field count. *)
 
 val nil : int
 (** Sentinel for "no record" in chain pointers (-1). *)

@@ -19,19 +19,6 @@ type t = {
   size_words : int; (* resulting database footprint *)
 }
 
-let series_total series =
-  List.fold_left
-    (fun acc s -> List.fold_left (fun a p -> a +. p.batch_sim_ms) acc s.points)
-    0. series
-
-let to_table t =
-  let row label (s : series) =
-    let items = match List.rev s.points with p :: _ -> p.cumulative | [] -> 0 in
-    let sim = List.fold_left (fun a p -> a +. p.batch_sim_ms) 0. s.points in
-    [ label; s.label; string_of_int items; Printf.sprintf "%.1f" sim ]
-  in
-  List.map (row "nodes") t.node_series @ List.map (row "edges") t.edge_series
-
 (* Render a time series as a compact sparkline-ish text row list:
    (cumulative, per-batch ms). *)
 let points_rows (s : series) =

@@ -19,11 +19,5 @@ type t = {
   size_words : int;  (** resulting database footprint *)
 }
 
-val series_total : series list -> float
-(** Sum of all batch costs across the series, simulated ms. *)
-
-val to_table : t -> string list list
-(** One summary row per series: kind, label, items, total sim ms. *)
-
 val points_rows : series -> string list list
 (** (cumulative items, per-batch sim ms) rows for printing. *)

@@ -9,8 +9,8 @@ open Mgq_core.Types
    writes and logic errors are not. *)
 let retryable = function Fault.Io_error _ -> true | _ -> false
 
-let run_with_retry ?policy ?rng cost f =
-  Retry.run ?policy ?rng ~retryable
+let run_with_retry ?rng cost f =
+  Retry.run ?rng ~retryable
     ~on_backoff:(fun ns -> Cost_model.advance_ns cost ns)
     f
 
@@ -131,10 +131,10 @@ module Live_neo = struct
     | Stream.New_tweet { tags; _ } -> List.iter purge_tag tags
     | Stream.New_follow _ | Stream.Unfollow _ -> ()
 
-  let apply_with_retry ?policy ?rng t event =
+  let apply_with_retry ?rng t event =
     let cost = Mgq_storage.Sim_disk.cost (Db.disk t.db) in
     let (), outcome =
-      run_with_retry ?policy ?rng cost (fun () ->
+      run_with_retry ?rng cost (fun () ->
           forget_rolled_back t event;
           apply t event)
     in
@@ -293,7 +293,7 @@ module Live_sparks = struct
       | None -> roll ());
       raise e
 
-  let apply_with_retry ?policy ?rng t event =
-    let (), outcome = run_with_retry ?policy ?rng (Sdb.cost t.sdb) (fun () -> apply t event) in
+  let apply_with_retry ?rng t event =
+    let (), outcome = run_with_retry ?rng (Sdb.cost t.sdb) (fun () -> apply t event) in
     outcome
 end

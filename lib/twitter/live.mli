@@ -22,15 +22,14 @@ module Live_neo : sig
       semantics). *)
 
   val apply_with_retry :
-    ?policy:Mgq_util.Retry.policy ->
     ?rng:Mgq_util.Rng.t ->
     t ->
     Stream.event ->
     Mgq_util.Retry.outcome
-  (** {!apply} under a retry policy: a transiently failing attempt
-      rolls back (transaction + id caches) and is re-applied after a
-      deterministic backoff, whose simulated nanoseconds are charged
-      to the engine's clock. Only {!Mgq_storage.Fault.Io_error} is
+  (** {!apply} under {!Mgq_util.Retry.default_policy}: a transiently
+      failing attempt rolls back (transaction + id caches) and is
+      re-applied after a deterministic backoff, whose simulated
+      nanoseconds are charged to the engine's clock. Only {!Mgq_storage.Fault.Io_error} is
       retried — crashes and logic errors propagate immediately.
       @raise Mgq_util.Retry.Attempts_exhausted
         when every attempt failed. *)
@@ -50,7 +49,6 @@ module Live_sparks : sig
       (with injection suspended) before re-raising. *)
 
   val apply_with_retry :
-    ?policy:Mgq_util.Retry.policy ->
     ?rng:Mgq_util.Rng.t ->
     t ->
     Stream.event ->

@@ -21,15 +21,16 @@ let describe = function
     Printf.sprintf "tweet t%d by u%d (%d mentions, %d tags)" tid author (List.length mentions)
       (List.length tags)
 
-type mix = { p_new_user : float; p_new_follow : float; p_unfollow : float }
-
-let default_mix = { p_new_user = 0.05; p_new_follow = 0.50; p_unfollow = 0.05 }
+(* The event mix: 5 % new users, 50 % follows, 5 % unfollows, the
+   remaining 40 % tweets. *)
+let p_new_user = 0.05
+let p_new_follow = 0.50
+let p_unfollow = 0.05
 
 (* A growable follow set per user so unfollows pick real edges and new
    follows avoid duplicates. *)
 type t = {
   rng : Rng.t;
-  mix : mix;
   mutable n_users : int;
   mutable next_tid : int;
   mutable next_tag : int; (* next fresh hashtag suffix *)
@@ -53,12 +54,11 @@ let followee_set t u =
     Hashtbl.replace t.followees u set;
     set
 
-let create ?(seed = 4242) ?(mix = default_mix) (d : Dataset.t) =
+let create ?(seed = 4242) (d : Dataset.t) =
   let capacity = capacity_for d.Dataset.n_users in
   let t =
     {
       rng = Rng.create seed;
-      mix;
       n_users = d.Dataset.n_users;
       next_tid =
         Array.fold_left (fun acc (tw : Dataset.tweet) -> max acc (tw.Dataset.tid + 1)) 0
@@ -86,12 +86,12 @@ let pick_any_user t = Rng.int t.rng t.n_users
 
 let rec next t =
   let roll = Rng.float t.rng 1.0 in
-  if roll < t.mix.p_new_user then begin
+  if roll < p_new_user then begin
     let uid = t.n_users in
     t.n_users <- uid + 1;
     New_user { uid; name = Printf.sprintf "u%d" uid }
   end
-  else if roll < t.mix.p_new_user +. t.mix.p_new_follow then begin
+  else if roll < p_new_user +. p_new_follow then begin
     let follower = pick_any_user t in
     let followee = pick_user t in
     let set = followee_set t follower in
@@ -103,7 +103,7 @@ let rec next t =
       New_follow { follower; followee }
     end
   end
-  else if roll < t.mix.p_new_user +. t.mix.p_new_follow +. t.mix.p_unfollow then begin
+  else if roll < p_new_user +. p_new_follow +. p_unfollow then begin
     (* Unfollow an existing edge; retry on users with none. *)
     let follower = pick_any_user t in
     let set = followee_set t follower in

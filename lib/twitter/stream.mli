@@ -25,22 +25,13 @@ type event =
 
 val describe : event -> string
 
-type mix = {
-  p_new_user : float;
-  p_new_follow : float;
-  p_unfollow : float;
-  (* remainder: new tweet *)
-}
-
-val default_mix : mix
-(** 5 % new users, 50 % follows, 5 % unfollows, 40 % tweets. *)
-
 type t
 
-val create : ?seed:int -> ?mix:mix -> Dataset.t -> t
+val create : ?seed:int -> Dataset.t -> t
 (** Continue from the crawl's final state: uids/tids continue its
     id ranges, follow targets keep preferential attachment, hashtags
-    keep their Zipf popularity (new tags appear occasionally). *)
+    keep their Zipf popularity (new tags appear occasionally). Events
+    are 5 % new users, 50 % follows, 5 % unfollows and 40 % tweets. *)
 
 val next : t -> event
 (** Deterministic in the creation seed. *)

@@ -65,8 +65,3 @@ let to_list t =
   let entries = Array.sub t.heap 0 t.size in
   Array.sort (fun a b -> if worse a b then 1 else if worse b a then -1 else 0) entries;
   Array.to_list (Array.map (fun e -> (e.key, e.score, e.value)) entries)
-
-let of_counts n counts =
-  let t = create n in
-  Hashtbl.iter (fun key count -> add t ~key ~score:count ~value:()) counts;
-  List.map (fun (key, score, ()) -> (key, score)) (to_list t)

@@ -22,6 +22,3 @@ val size : ('k, 'v) t -> int
 val to_list : ('k, 'v) t -> ('k * int * 'v) list
 (** Best-first list of at most [n] entries. Does not mutate. *)
 
-val of_counts : int -> ('k, int) Hashtbl.t -> ('k * int) list
-(** [of_counts n counts] is the top-[n] (key, count) pairs of a
-    counting table — the common final step of the aggregate queries. *)

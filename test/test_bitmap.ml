@@ -169,13 +169,6 @@ let prop_subset =
       Bitmap.subset (Bitmap.of_list xs) (Bitmap.of_list ys)
       = Iset.subset (set_of_list xs) (set_of_list ys))
 
-let prop_inter_cardinality =
-  QCheck.Test.make ~name:"inter_cardinality = |inter|" ~count:300
-    QCheck.(pair values_gen values_gen)
-    (fun (xs, ys) ->
-      let a = Bitmap.of_list xs and b = Bitmap.of_list ys in
-      Bitmap.inter_cardinality a b = Bitmap.cardinality (Bitmap.inter a b))
-
 let prop_nth_enumerates =
   QCheck.Test.make ~name:"nth enumerates ascending members" ~count:200 values_gen
     (fun xs ->
@@ -355,7 +348,6 @@ let suite =
         qtest prop_equal;
         qtest prop_equal_reflexive;
         qtest prop_subset;
-        qtest prop_inter_cardinality;
         qtest prop_nth_enumerates;
         qtest prop_remove_model;
         qtest prop_fold_order;

@@ -663,7 +663,7 @@ let state_parts db =
       Db.nodes_with_label db label
       |> Seq.map (fun n ->
              let v = Db.node_property db n property in
-             Value.to_tsv v ^ "=" ^ ints (Db.index_lookup db ~label ~property v))
+             Value.type_name v ^ ":" ^ Value.to_display v ^ "=" ^ ints (Db.index_lookup db ~label ~property v))
       |> List.of_seq |> String.concat ";"
   in
   [

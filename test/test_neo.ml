@@ -304,6 +304,26 @@ let test_with_tx_exception_rolls_back () =
   check Alcotest.int "rolled back" 0 (Db.node_count db);
   check Alcotest.bool "tx closed" false (Db.in_tx db)
 
+(* A failing log flush aborts the commit itself: the transaction is
+   still open when [commit_txn] raises, and [with_tx] must roll it
+   back before re-raising. *)
+let test_with_tx_commit_failure_rolls_back () =
+  let db = Db.create () in
+  ignore (Db.create_node db ~label:"user" no_props : int);
+  let nodes = Db.node_count db and lsn = Db.last_lsn db in
+  Sim_disk.arm_faults (Db.disk db) (Mgq_storage.Fault.plan ~flush_fail_p:1.0 ());
+  (match Db.with_tx db (fun () -> ignore (Db.create_node db ~label:"user" no_props : int)) with
+  | () -> Alcotest.fail "expected Io_error"
+  | exception Mgq_storage.Fault.Io_error _ -> ());
+  check Alcotest.int "no open txns" 0 (Db.open_txn_count db);
+  check Alcotest.bool "tx closed" false (Db.in_tx db);
+  check Alcotest.int "node count unchanged" nodes (Db.node_count db);
+  check Alcotest.int "last lsn unchanged" lsn (Db.last_lsn db);
+  Sim_disk.disarm_faults (Db.disk db);
+  Db.with_tx db (fun () -> ignore (Db.create_node db ~label:"user" no_props : int));
+  check Alcotest.int "next commit lands" (nodes + 1) (Db.node_count db);
+  check Alcotest.int "next commit logged" (lsn + 1) (Db.last_lsn db)
+
 let test_with_tx_exception_restores_structures () =
   (* One failing transaction touching every structure at once:
      degrees, relationship chains, property chains and index entries
@@ -1065,6 +1085,8 @@ let suite =
         Alcotest.test_case "with_tx exception" `Quick test_with_tx_exception_rolls_back;
         Alcotest.test_case "with_tx restores structures" `Quick
           test_with_tx_exception_restores_structures;
+        Alcotest.test_case "with_tx commit failure" `Quick
+          test_with_tx_commit_failure_rolls_back;
         Alcotest.test_case "rollback of densify_node" `Quick test_rollback_of_densify_node;
         Alcotest.test_case "nested rejected" `Quick test_nested_tx_rejected;
         qtest prop_rollback_restores_counts;

@@ -424,17 +424,6 @@ let prop_topn_matches_sort =
       in
       got = expected)
 
-let test_topn_of_counts () =
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace counts k v)
-    [ ("x", 2); ("y", 8); ("z", 5) ];
-  check
-    Alcotest.(list (pair string int))
-    "top 2 by count"
-    [ ("y", 8); ("z", 5) ]
-    (Topn.of_counts 2 counts)
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -684,7 +673,6 @@ let suite =
         Alcotest.test_case "basic selection" `Quick test_topn_basic;
         Alcotest.test_case "tie break on key" `Quick test_topn_tie_break;
         Alcotest.test_case "zero limit" `Quick test_topn_zero_limit;
-        Alcotest.test_case "of_counts" `Quick test_topn_of_counts;
         qtest prop_topn_matches_sort;
       ] );
     ( "stats",
