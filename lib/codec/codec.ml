@@ -22,7 +22,6 @@ module Enc = struct
   type t = Buffer.t
 
   let create ?(size = 64) () = Buffer.create size
-  let length = Buffer.length
 
   let u8 b n =
     if n < 0 || n > 0xFF then err "Enc.u8: %d out of range" n;
@@ -87,7 +86,6 @@ module Dec = struct
 
   let of_string src = { src; limit = String.length src; pos = 0 }
 
-  let pos t = t.pos
   let remaining t = t.limit - t.pos
   let expect_end t = if t.pos < t.limit then err "Dec: %d trailing bytes" (remaining t)
 
@@ -129,12 +127,6 @@ module Dec = struct
     if remaining t < 8 then err "Dec.i64: truncated at %d" t.pos;
     let v = String.get_int64_le t.src t.pos in
     t.pos <- t.pos + 8;
-    v
-
-  let u32 t =
-    if remaining t < 4 then err "Dec.u32: truncated at %d" t.pos;
-    let v = String.get_int32_le t.src t.pos in
-    t.pos <- t.pos + 4;
     v
 
   let float t = Int64.float_of_bits (i64 t)

@@ -21,7 +21,6 @@ module Enc : sig
   type t
 
   val create : ?size:int -> unit -> t
-  val length : t -> int
 
   val u8 : t -> int -> unit
   (** One byte; [0..255] enforced. *)
@@ -65,8 +64,6 @@ module Dec : sig
   type t
 
   val of_string : string -> t
-  val pos : t -> int
-  val remaining : t -> int
 
   val expect_end : t -> unit
   (** Raises {!Error} if trailing bytes remain — catches encoder /
@@ -78,7 +75,6 @@ module Dec : sig
   val int : t -> int
   val bool : t -> bool
   val i64 : t -> int64
-  val u32 : t -> int32
   val float : t -> float
   val string : t -> string
   val option : t -> (t -> 'a) -> 'a option

@@ -167,12 +167,13 @@ let run cfg =
               (Fault.plan ~seed:cfg.seed ~crash_at_write:1 ~torn_crash:true ())
           | _ -> ());
           match Db.commit_txn db txn with
-          | Ok () ->
+          | () ->
             History.record hist ~session:s.sid ~txn:tid History.Commit_ok;
             incr committed;
             acked := (tid, tx_writes tid) :: !acked;
             s.cur <- None
-          | Error c ->
+          | exception Db.Tx_conflict c ->
+            (* [commit_txn] has rolled the loser back already. *)
             incr conflicts;
             incr aborted;
             History.record hist ~session:s.sid ~txn:tid

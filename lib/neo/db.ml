@@ -463,12 +463,8 @@ let commit_txn t txn =
   in
   match clash with
   | Some (k, _) ->
-    Obs.Counter.incr m_tx_conflicts;
-    let c =
-      { c_txn = txn.tx_id; c_key = describe_vkey t k; c_reason = "first committer wins" }
-    in
     rollback_txn t txn;
-    Error c
+    conflict t k "first committer wins" txn.tx_id
   | None ->
     (* Commit appends the transaction to the log: the durability
        point. With a WAL the append is real page traffic an armed
@@ -499,8 +495,7 @@ let commit_txn t txn =
        failed append above leaves them buffered for rollback to drop. *)
     List.iter (Catalog.apply t.catalog) (List.rev txn.tx_stats);
     close_txn t txn;
-    Obs.Counter.incr m_commits;
-    Ok ()
+    Obs.Counter.incr m_commits
 
 (* One transaction around [f], rejected while any other is open: the
    form imports, replication replay and Cypher writes use. *)
@@ -513,12 +508,10 @@ let with_tx t f =
       if txn.tx_open then rollback_txn t txn;
       raise e
   in
-  (match commit_txn t txn with
-  | Ok () -> ()
-  | Error c -> raise (Tx_conflict c)
-  | exception e ->
-    if txn.tx_open then rollback_txn t txn;
-    raise e);
+  (try commit_txn t txn
+   with e ->
+     if txn.tx_open then rollback_txn t txn;
+     raise e);
   result
 
 (* Record a logical redo op. Inside a transaction it joins the

@@ -161,7 +161,7 @@ val property_keys : t -> string list
     concurrent transaction already wrote fails immediately (second
     updater loses), and commit validates the write set against
     commits that landed after the snapshot (first committer wins).
-    Both raise/return the typed {!Tx_conflict} / {!conflict}. Write
+    Both raise the typed {!Tx_conflict}. Write
     skew — disjoint write sets with crossing reads — is permitted, as
     under any snapshot isolation; the {!Mgq_consistency} audit
     harness reports it.
@@ -192,8 +192,8 @@ type conflict = {
 
 exception Tx_conflict of conflict
 (** A write-write conflict under {!Snapshot} isolation. Raised eagerly
-    at the losing write; returned as [Error] from {!commit_txn} when
-    first-committer-wins validation fails at the commit point. *)
+    at the losing write, and by {!commit_txn} when first-committer-wins
+    validation fails at the commit point. *)
 
 type isolation =
   | Snapshot  (** MVCC snapshot isolation (default) *)
@@ -224,13 +224,13 @@ val deactivate : t -> unit
 (** No active transaction: reads see the latest committed state;
     writes auto-commit. *)
 
-val commit_txn : t -> txn -> (unit, conflict) result
+val commit_txn : t -> txn -> unit
 (** Validate (first committer wins), then append the redo record to
     the WAL — the durability point, which an armed fault plan can
     interrupt, leaving the transaction open — then stamp the write
     set with a commit timestamp and apply buffered statistics deltas.
-    [Error] means the transaction lost validation and was rolled
-    back.
+    @raise Tx_conflict when the transaction lost validation; it has
+    been rolled back.
     @raise Tx_error when [txn] is not open. *)
 
 val rollback_txn : t -> txn -> unit

@@ -3,34 +3,23 @@ type labels = (string * string) list
 let canon (labels : labels) = List.sort compare labels
 
 (* Domain safety: the registry is process-wide and any domain may
-   report into it. Counters therefore use striped atomics (a plain
-   mutable int would drop increments under concurrent
-   read-modify-write), gauges and histograms take a per-metric mutex
-   (their updates touch several fields), and the registry table itself
-   is mutex-guarded so two domains registering the same metric cannot
-   corrupt the Hashtbl or observe two distinct handles for one (name,
-   labels). The per-access store.* counters are not bumped at all:
-   they are derived counters, read from the storage cost models when a
-   snapshot is taken, so a record access costs no atomic operation. *)
+   report into it. A counter is one atomic (a plain mutable int would
+   drop increments under concurrent read-modify-write), gauges and
+   histograms take a per-metric mutex (their updates touch several
+   fields), and the registry table itself is mutex-guarded so two
+   domains registering the same metric cannot corrupt the Hashtbl or
+   observe two distinct handles for one (name, labels). The per-access
+   store.* counters are not bumped at all: they are derived counters,
+   read from the storage cost models when a snapshot is taken, so a
+   record access costs no atomic operation. *)
 
 module Counter = struct
-  (* Striped to keep hot-path contention down: each domain picks a
-     stripe by its id, so concurrent [add]s from different domains
-     usually hit different atomics. [value] sums the stripes —
-     exact, since every increment lands in exactly one stripe. *)
-  let stripes = 8
+  type t = int Atomic.t
 
-  type t = { cells : int Atomic.t array }
-
-  let create () = { cells = Array.init stripes (fun _ -> Atomic.make 0) }
-
-  let slot () = (Domain.self () :> int) land (stripes - 1)
-
-  let add t n = ignore (Atomic.fetch_and_add t.cells.(slot ()) n)
-  let incr ?(by = 1) t = add t by
-
-  let value t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
-  let reset t = Array.iter (fun c -> Atomic.set c 0) t.cells
+  let create () = Atomic.make 0
+  let incr ?(by = 1) t = ignore (Atomic.fetch_and_add t by)
+  let value = Atomic.get
+  let reset t = Atomic.set t 0
 end
 
 module Gauge = struct

@@ -8,12 +8,12 @@
     tests can run on a tick counter.
 
     {b Domain safety}: the registry is shared by every domain in the
-    process, and any domain may report into it. Counters are
-    striped atomics, so concurrent [Counter.add] from many domains
-    loses no increments and [value] is exact once writers quiesce;
-    derived counters are read through their owner's function at
-    snapshot time; gauges and histograms take a per-metric mutex;
-    registration and snapshot/reset lock the registry table. A snapshot taken while
+    process, and any domain may report into it. A counter is one
+    atomic, so concurrent [Counter.incr] from many domains loses no
+    increments and [value] is exact; derived counters are read
+    through their owner's function at snapshot time; gauges and
+    histograms take a per-metric mutex; registration and
+    snapshot/reset lock the registry table. A snapshot taken while
     writers are active is weakly consistent (each metric is read
     atomically; the set of metrics is not frozen at one instant).
 
@@ -31,13 +31,6 @@ module Counter : sig
   type t
 
   val incr : ?by:int -> t -> unit
-
-  (** [add t n] is [incr ~by:n t] without the [Some n] boxing the
-      optional argument costs — for per-access hot paths. Safe to call
-      concurrently from any domain: the increment lands on a
-      domain-striped atomic cell, never lost. *)
-  val add : t -> int -> unit
-
   val value : t -> int
 end
 

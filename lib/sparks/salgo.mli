@@ -17,9 +17,6 @@ module Single_pair_shortest_path_bfs : sig
     max_hops:int ->
     t
 
-  val run : t -> unit
-  (** Execute the search; harmless to call twice. *)
-
   val exists : t -> bool
   val cost : t -> int option
   (** Hop count of the shortest path, when one exists. *)

@@ -36,7 +36,7 @@ let test_snapshot_read_stability () =
   let t2 = Db.begin_txn db in
   Db.activate db t2;
   Db.set_node_property db n "v" (Value.Int 2);
-  (match Db.commit_txn db t2 with Ok () -> () | Error _ -> Alcotest.fail "t2 conflict");
+  Db.commit_txn db t2;
   Db.activate db t1;
   check Alcotest.int "t1 still sees its snapshot" 1 (read_v db n);
   Db.rollback_txn db t1;
@@ -59,7 +59,7 @@ let test_first_committer_wins () =
        (String.length c.Db.c_key > 0));
   Db.rollback_txn db t2;
   Db.activate db t1;
-  (match Db.commit_txn db t1 with Ok () -> () | Error _ -> Alcotest.fail "t1 conflict");
+  Db.commit_txn db t1;
   check Alcotest.int "winner's write survives" 10 (read_v db n);
   check Alcotest.int "no open txns" 0 (Db.open_txn_count db)
 
@@ -75,9 +75,7 @@ let test_conflict_counters_and_retry () =
   let saboteur = Db.begin_txn db in
   Db.activate db saboteur;
   Db.set_node_property db n "v" (Value.Int 99);
-  (match Db.commit_txn db saboteur with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "saboteur conflict");
+  Db.commit_txn db saboteur;
   (* back to the first txn, whose snapshot is now stale *)
   Db.activate db txn;
   check Alcotest.int "stale snapshot" 1 (read_v db n);

@@ -236,7 +236,7 @@ let test_tx_commit () =
   let db = Db.create () in
   let txn = Db.begin_txn db in
   let n = Db.create_node db ~label:"user" (props [ ("uid", Value.Int 1) ]) in
-  Result.get_ok (Db.commit_txn db txn);
+  Db.commit_txn db txn;
   check Alcotest.bool "persisted" true (Db.node_exists db n)
 
 let test_tx_rollback_create_node () =
