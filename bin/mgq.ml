@@ -1031,7 +1031,7 @@ let metrics_cmd =
       Breaker.create
         ~config:
           { Breaker.failure_threshold = 2; open_for = 1; probe_successes = 1; probe_p = 1.0 }
-        ~name:"demo" (Mgq_util.Rng.create 7)
+        (Mgq_util.Rng.create 7)
     in
     Breaker.record_failure b ~now:0;
     Breaker.record_failure b ~now:0;

@@ -1,5 +1,6 @@
 module Value = Mgq_core.Value
 module Obs = Mgq_obs.Obs
+module Int_tbl = Mgq_util.Int_tbl
 open Mgq_core.Types
 
 let m_events = Obs.counter "catalog.events"
@@ -33,15 +34,26 @@ type pstats = {
 
 let sketch_size = 10
 
+(* (node, etype, out) keys, compared and hashed without the polymorphic
+   primitives: every edge write updates two of them. The node id
+   spreads the keys; the etype's length is enough to separate a node's
+   few edge types. *)
+module Deg_tbl = Hashtbl.Make (struct
+  type t = int * string * bool
+
+  let equal (n, e, o) (n', e', o') = n = n' && o = o' && String.equal e e'
+  let hash (n, e, o) = ((((n * 31) + String.length e) * 2) + Bool.to_int o) land max_int
+end)
+
 type t = {
   mutable epoch : int;
   mutable rebuilding : bool;
-  node_label : (int, string) Hashtbl.t;
+  node_label : string Int_tbl.t;
   label_tbl : (string, int ref) Hashtbl.t;
   etype_tbl : (string, int ref) Hashtbl.t;
   (* (node, etype, out) -> typed degree; the private table that makes
      histogram moves O(1) without touching the relationship chains. *)
-  node_deg : (int * string * bool, int ref) Hashtbl.t;
+  node_deg : int ref Deg_tbl.t;
   (* (src_label, etype, out) -> degree histogram *)
   deg : (string * string * bool, dstats) Hashtbl.t;
   (* (label, key) -> value counts; distinct = table size, MCV = top-k. *)
@@ -54,10 +66,10 @@ let create () =
   {
     epoch = 0;
     rebuilding = false;
-    node_label = Hashtbl.create 1024;
+    node_label = Int_tbl.create 1024;
     label_tbl = Hashtbl.create 8;
     etype_tbl = Hashtbl.create 8;
-    node_deg = Hashtbl.create 1024;
+    node_deg = Deg_tbl.create 1024;
     deg = Hashtbl.create 16;
     props = Hashtbl.create 16;
     endpoints = Hashtbl.create 16;
@@ -74,10 +86,13 @@ let copy_ref r = ref !r
 let copy t =
   {
     t with
-    node_label = Hashtbl.copy t.node_label;
+    node_label = Int_tbl.copy t.node_label;
     label_tbl = copy_with copy_ref t.label_tbl;
     etype_tbl = copy_with copy_ref t.etype_tbl;
-    node_deg = copy_with copy_ref t.node_deg;
+    node_deg =
+      (let c = Deg_tbl.copy t.node_deg in
+       Deg_tbl.filter_map_inplace (fun _ r -> Some (copy_ref r)) c;
+       c);
     deg =
       copy_with (fun ds -> { d_edges = ds.d_edges; d_buckets = Array.copy ds.d_buckets }) t.deg;
     props = copy_with (fun p -> { p with p_counts = copy_with copy_ref p.p_counts }) t.props;
@@ -127,13 +142,14 @@ let dstats_empty ds = ds.d_edges = 0 && Array.for_all (fun b -> b = 0) ds.d_buck
 
 let bump_degree t ~node ~label ~etype ~out delta =
   let nkey = (node, etype, out) in
-  let old_d = count_of t.node_deg nkey in
+  let cell = Deg_tbl.find_opt t.node_deg nkey in
+  let old_d = match cell with Some r -> !r | None -> 0 in
   let new_d = old_d + delta in
-  (if new_d <= 0 then Hashtbl.remove t.node_deg nkey
+  (if new_d <= 0 then Deg_tbl.remove t.node_deg nkey
    else
-     match Hashtbl.find_opt t.node_deg nkey with
+     match cell with
      | Some r -> r := new_d
-     | None -> Hashtbl.replace t.node_deg nkey (ref new_d));
+     | None -> Deg_tbl.replace t.node_deg nkey (ref new_d));
   let dkey = (label, etype, out) in
   let ds = dstats_for t dkey in
   if old_d >= 1 then ds.d_buckets.(bucket_of old_d) <- ds.d_buckets.(bucket_of old_d) - 1;
@@ -172,18 +188,18 @@ let prop_bump t ~label ~key value delta =
 (* ---------------- event application ---------------- *)
 
 let label_of t node =
-  match Hashtbl.find_opt t.node_label node with Some l -> l | None -> "?"
+  match Int_tbl.find_opt t.node_label node with Some l -> l | None -> "?"
 
 let apply t event =
   Obs.Counter.incr m_events;
   match event with
   | Node_added { node; label; props } ->
-    Hashtbl.replace t.node_label node label;
+    Int_tbl.replace t.node_label node label;
     bump_count t.label_tbl label 1 ~on_new:(fun () -> shape_changed t);
     List.iter (fun (key, v) -> prop_bump t ~label ~key v 1) props
   | Node_removed { node; props } ->
     let label = label_of t node in
-    Hashtbl.remove t.node_label node;
+    Int_tbl.remove t.node_label node;
     bump_count t.label_tbl label (-1) ~on_new:(fun () -> ());
     List.iter (fun (key, v) -> prop_bump t ~label ~key v (-1)) props
   | Edge_added { etype; src; dst } ->
@@ -206,10 +222,10 @@ let apply t event =
 
 let rebuild t ~nodes ~edges =
   Obs.Counter.incr m_rebuilds;
-  Hashtbl.reset t.node_label;
+  Int_tbl.reset t.node_label;
   Hashtbl.reset t.label_tbl;
   Hashtbl.reset t.etype_tbl;
-  Hashtbl.reset t.node_deg;
+  Deg_tbl.reset t.node_deg;
   Hashtbl.reset t.deg;
   Hashtbl.reset t.props;
   Hashtbl.reset t.endpoints;
@@ -223,7 +239,7 @@ let rebuild t ~nodes ~edges =
 
 (* ---------------- estimator accessors ---------------- *)
 
-let total_nodes t = Hashtbl.length t.node_label
+let total_nodes t = Int_tbl.length t.node_label
 
 let label_count t label = count_of t.label_tbl label
 

@@ -68,7 +68,6 @@ val rebuild :
 
 val total_nodes : t -> int
 val label_count : t -> string -> int
-val labels : t -> string list
 
 val distinct_count : t -> label:string -> key:string -> int
 (** Distinct values of [key] over nodes labelled [label]. *)

@@ -79,7 +79,6 @@ let create ?(config = default_config) ?primary () =
     primary_down = false;
   }
 
-let config t = t.config
 let primary t = t.primary
 let replicas t = t.replicas
 let router t = t.router

@@ -62,7 +62,6 @@ val create : ?config:config -> ?primary:Mgq_neo.Db.t -> unit -> t
     @raise Invalid_argument when [sync_replicas > replicas].
     @raise Mgq_neo.Db.Tx_error when [primary] has an open transaction. *)
 
-val config : t -> config
 val primary : t -> Mgq_neo.Db.t
 val replicas : t -> Replica.t array
 val router : t -> Router.t

@@ -17,7 +17,6 @@ let record t ~session ~txn kind =
   t.rev_events <- { idx = t.n; session; txn; kind } :: t.rev_events;
   t.n <- t.n + 1
 
-let length t = t.n
 let events t = List.rev t.rev_events
 
 let kind_to_string = function

@@ -24,7 +24,6 @@ type t
 
 val create : unit -> t
 val record : t -> session:int -> txn:int -> kind -> unit
-val length : t -> int
 
 val events : t -> event list
 (** In recording order; [idx] is the position. *)

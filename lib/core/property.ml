@@ -3,7 +3,6 @@ module Smap = Map.Make (String)
 type t = Value.t Smap.t
 
 let empty = Smap.empty
-let is_empty = Smap.is_empty
 
 let set t key value =
   match value with Value.Null -> Smap.remove key t | v -> Smap.add key v t
@@ -17,8 +16,5 @@ let get t key = match Smap.find_opt key t with Some v -> v | None -> Value.Null
 let mem t key = Smap.mem key t
 let cardinal = Smap.cardinal
 let keys t = List.map fst (Smap.bindings t)
-
-let equal a b =
-  Smap.equal (fun x y -> Value.compare_values x y = Some 0 || x = y) a b
 
 let union base overrides = Smap.union (fun _ _ override -> Some override) base overrides

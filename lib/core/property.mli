@@ -3,7 +3,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val of_list : (string * Value.t) list -> t
 (** Later bindings win on duplicate keys. [Null] values are dropped
     (setting a property to null removes it, as in Cypher). *)
@@ -20,7 +19,6 @@ val set : t -> string -> Value.t -> t
 
 val cardinal : t -> int
 val keys : t -> string list
-val equal : t -> t -> bool
 
 val union : t -> t -> t
 (** [union base overrides]: bindings in [overrides] win. *)

@@ -109,11 +109,6 @@ val var_of : state -> Ast.node_pat -> string
 
 val is_bound : state -> Ast.node_pat -> bool
 
-val emit_leaf : state -> Ast.node_pat -> string
-(** Emit the start-point operator(s) binding the pattern's variable
-    (index seek when available, else label scan, else all-nodes scan)
-    plus residual checks; returns the variable. *)
-
 val emit_node_residual : state -> string -> Ast.node_pat -> unit
 (** Emit a [Node_check] for the label/property constraints the
     reaching operator did not enforce (no-op when there are none). *)

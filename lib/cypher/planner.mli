@@ -13,8 +13,3 @@
 
 val plan : Mgq_neo.Db.t -> Ast.query -> Plan.t
 (** @raise Plan.Plan_error on unsupported or inconsistent queries. *)
-
-val plan_paths : Plan.state -> uniq:string -> Ast.pattern_path list -> unit
-(** The path-planning strategy itself, exposed for
-    {!Plan.plan_with} composition (plans greedily: paths with a bound
-    endpoint first). *)

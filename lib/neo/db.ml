@@ -108,7 +108,7 @@ type txn = {
   mutable tx_redo : Wal.op list; (* reversed; committed as one record *)
   mutable tx_stats : Catalog.event list; (* reversed; applied at commit *)
   mutable tx_reads : vkey list; (* newest first; only under read tracking *)
-  tx_read_seen : (vkey, unit) Hashtbl.t;
+  mutable tx_read_seen : (vkey, unit) Hashtbl.t option; (* made at the first tracked read *)
 }
 
 (* Creation parameters, kept so [recover] can rebuild an identically
@@ -123,10 +123,10 @@ type settings = {
 
 type t = {
   disk : Sim_disk.t;
-  nodes : Record_store.t;
-  rels : Record_store.t;
-  props : Record_store.t;
-  groups : Record_store.t;
+  nodes : Record_store.t; (* neostore.nodestore *)
+  rels : Record_store.t; (* neostore.relationshipstore *)
+  props : Record_store.t; (* neostore.propertystore *)
+  groups : Record_store.t; (* neostore.relationshipgroupstore *)
   strings : Blob_store.t;
   dense_node_threshold : int;
   label_dict : Dict.t;
@@ -164,11 +164,10 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
   let t =
     {
       disk;
-      nodes = Record_store.create disk ~name:"neostore.nodestore" ~fields:node_fields;
-      rels = Record_store.create disk ~name:"neostore.relationshipstore" ~fields:rel_fields;
-      props = Record_store.create disk ~name:"neostore.propertystore" ~fields:prop_fields;
-      groups =
-        Record_store.create disk ~name:"neostore.relationshipgroupstore" ~fields:group_fields;
+      nodes = Record_store.create disk ~fields:node_fields;
+      rels = Record_store.create disk ~fields:rel_fields;
+      props = Record_store.create disk ~fields:prop_fields;
+      groups = Record_store.create disk ~fields:group_fields;
       strings = Blob_store.create disk ~name:"neostore.stringstore";
       dense_node_threshold = max 2 dense_node_threshold;
       label_dict = Dict.create ();
@@ -331,10 +330,20 @@ let mvcc_read_needed t = t.isolation = Snapshot && Hashtbl.length t.versions > 0
 let track_read t k =
   if t.track_reads then
     match t.active with
-    | Some txn when not (Hashtbl.mem txn.tx_read_seen k) ->
-      Hashtbl.replace txn.tx_read_seen k ();
-      txn.tx_reads <- k :: txn.tx_reads
-    | _ -> ()
+    | Some txn ->
+      let seen =
+        match txn.tx_read_seen with
+        | Some seen -> seen
+        | None ->
+          let seen = Hashtbl.create 8 in
+          txn.tx_read_seen <- Some seen;
+          seen
+      in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.replace seen k ();
+        txn.tx_reads <- k :: txn.tx_reads
+      end
+    | None -> ()
 
 let conflict t k reason victim =
   Obs.Counter.incr m_tx_conflicts;
@@ -400,7 +409,7 @@ let begin_txn t =
       tx_redo = [];
       tx_stats = [];
       tx_reads = [];
-      tx_read_seen = Hashtbl.create 8;
+      tx_read_seen = None;
     }
   in
   t.next_txn_id <- t.next_txn_id + 1;

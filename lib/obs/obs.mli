@@ -108,7 +108,6 @@ end
     Library instrumentation reports here, like a Prometheus process
     registry; tests call {!reset} before the workload they assert on. *)
 
-val default : Registry.t
 val counter : ?labels:labels -> string -> Counter.t
 val derived_counter : string -> (unit -> int) -> unit
 val gauge : string -> Gauge.t

@@ -89,7 +89,6 @@ type t = {
   floors : moving_min array;  (* per cost class *)
   mutable admitted : int;
   shed : int array;  (* per cost class *)
-  mutable increases : int;
   mutable decreases : int;
 }
 
@@ -105,7 +104,6 @@ let create ?(config = default_config) () =
     floors = Array.init 3 (fun _ -> mm_create (max 1 config.min_window));
     admitted = 0;
     shed = Array.make 3 0;
-    increases = 0;
     decreases = 0;
   }
 
@@ -114,7 +112,6 @@ let inflight t = t.inflight
 let admitted t = t.admitted
 let shed t cls = t.shed.(class_index cls)
 let total_shed t = Array.fold_left ( + ) 0 t.shed
-let increases t = t.increases
 let decreases t = t.decreases
 
 let latency_floor_ns t cls = mm_floor t.floors.(class_index cls)
@@ -185,7 +182,6 @@ let complete t ~now_ns ~cls ~latency_ns =
     let ratio = float_of_int (max 1 latency_ns) /. float_of_int (max 1 floor_ns) in
     if ratio <= t.config.tolerance then begin
       t.limit <- Float.min t.config.max_limit (t.limit +. (1. /. t.limit));
-      t.increases <- t.increases + 1;
       Obs.Counter.incr m_increases;
       Obs.Gauge.set m_limit t.limit
     end

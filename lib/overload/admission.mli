@@ -82,5 +82,4 @@ val total_shed : t -> int
 val latency_floor_ns : t -> Mgq_queries.Workload.cost_class -> int option
 (** The class's current moving-minimum latency, once sampled. *)
 
-val increases : t -> int
 val decreases : t -> int

@@ -30,7 +30,6 @@ let default_config =
   { failure_threshold = 5; open_for = 10; probe_successes = 2; probe_p = 0.5 }
 
 type t = {
-  name : string;
   config : config;
   rng : Mgq_util.Rng.t;
   on_open : unit -> unit;
@@ -40,15 +39,13 @@ type t = {
   mutable probe_streak : int;
   mutable opened_at : int;
   mutable opens : int;
-  mutable closes : int;
   mutable rejections : int;
 }
 
-let create ?(config = default_config) ?(on_open = ignore) ?(on_close = ignore) ~name rng =
+let create ?(config = default_config) ?(on_open = ignore) ?(on_close = ignore) rng =
   if config.failure_threshold <= 0 then invalid_arg "Breaker.create: failure_threshold";
   if config.probe_successes <= 0 then invalid_arg "Breaker.create: probe_successes";
   {
-    name;
     config;
     rng;
     on_open;
@@ -58,13 +55,10 @@ let create ?(config = default_config) ?(on_open = ignore) ?(on_close = ignore) ~
     probe_streak = 0;
     opened_at = 0;
     opens = 0;
-    closes = 0;
     rejections = 0;
   }
 
-let name t = t.name
 let opens t = t.opens
-let closes t = t.closes
 let rejections t = t.rejections
 
 (* Advance the timed Open -> Half_open transition before reporting or
@@ -117,7 +111,6 @@ let record_success t ~now =
     if t.probe_streak >= t.config.probe_successes then begin
       t.state <- Closed;
       t.consecutive_failures <- 0;
-      t.closes <- t.closes + 1;
       Obs.Counter.incr (m_transition Closed);
       t.on_close ()
     end

@@ -34,13 +34,10 @@ val create :
   ?config:config ->
   ?on_open:(unit -> unit) ->
   ?on_close:(unit -> unit) ->
-  name:string ->
   Mgq_util.Rng.t ->
   t
 (** A fresh Closed breaker. The [rng] seeds probe admission only.
     @raise Invalid_argument on a non-positive threshold. *)
-
-val name : t -> string
 
 val state : t -> now:int -> state
 (** Current state, after advancing any due Open -> Half_open
@@ -61,7 +58,6 @@ val record_failure : t -> now:int -> unit
 (** {1 Counters} *)
 
 val opens : t -> int
-val closes : t -> int
 
 val rejections : t -> int
 (** Calls refused by {!allow} while Open or awaiting probe admission. *)

@@ -20,7 +20,6 @@ type t = {
   breakers : Breaker.t array;
   mutable fault : replica:int -> now:int -> bool;
   mutable probes : int;
-  mutable probe_failures : int;
   mutable rerouted : int;
   mutable served_while_open : int;  (* invariant: stays 0 *)
 }
@@ -31,7 +30,6 @@ let create ?(breaker_config = Breaker.default_config) cluster rng =
     Array.mapi
       (fun i _ ->
         Breaker.create ~config:breaker_config
-          ~name:(Printf.sprintf "replica-%d" i)
           ~on_open:(fun () -> Router.eject router i)
           ~on_close:(fun () -> Router.restore router i)
           (Mgq_util.Rng.split rng))
@@ -42,15 +40,12 @@ let create ?(breaker_config = Breaker.default_config) cluster rng =
     breakers;
     fault = (fun ~replica:_ ~now:_ -> false);
     probes = 0;
-    probe_failures = 0;
     rerouted = 0;
     served_while_open = 0;
   }
 
-let cluster t = t.cluster
 let breaker t i = t.breakers.(i)
 let probes t = t.probes
-let probe_failures t = t.probe_failures
 let rerouted t = t.rerouted
 let served_while_open t = t.served_while_open
 let set_fault t f = t.fault <- f
@@ -110,7 +105,6 @@ let read t ?budget ~session f =
       match try_replica t i f with
       | Ok v -> Some v
       | Error () ->
-        t.probe_failures <- t.probe_failures + 1;
         Obs.Counter.incr m_probe_failures;
         None)
   in

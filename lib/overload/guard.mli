@@ -24,7 +24,6 @@ val create : ?breaker_config:Breaker.config -> Mgq_cluster.Cluster.t -> Mgq_util
 (** A guard with a fresh Closed breaker per replica. [Breaker.open_for]
     is measured in cluster ticks. *)
 
-val cluster : t -> Mgq_cluster.Cluster.t
 val breaker : t -> int -> Breaker.t
 
 val set_fault : t -> (replica:int -> now:int -> bool) -> unit
@@ -48,7 +47,6 @@ val read :
 (** {1 Counters} *)
 
 val probes : t -> int
-val probe_failures : t -> int
 
 val rerouted : t -> int
 (** Calls that failed on a replica and were re-routed. *)

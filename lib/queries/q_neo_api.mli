@@ -8,8 +8,6 @@ val node_of_uid : Contexts.neo -> int -> int option
 
 val node_of_tag : Contexts.neo -> string -> int option
 val uid_of : Contexts.neo -> int -> int
-val tid_of : Contexts.neo -> int -> int
-val tag_of : Contexts.neo -> int -> string
 
 val q1_select : Contexts.neo -> threshold:int -> Results.t
 val q2_1 : Contexts.neo -> uid:int -> Results.t

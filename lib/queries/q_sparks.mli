@@ -7,8 +7,6 @@
 val oid_of_uid : Contexts.sparks -> int -> int option
 val oid_of_tag : Contexts.sparks -> string -> int option
 val uid_of : Contexts.sparks -> int -> int
-val tid_of : Contexts.sparks -> int -> int
-val tag_of : Contexts.sparks -> int -> string
 
 val q1_select : Contexts.sparks -> threshold:int -> Results.t
 

@@ -43,7 +43,6 @@ val budgeted :
     when {!Mgq_util.Budget.Exhausted} fires mid-body. *)
 
 val sort_ids : int list -> int list
-val sort_counted : (int * int) list -> (int * int) list
 val take : int -> 'a list -> 'a list
 
 val top_n_counted : int -> (int, int) Hashtbl.t -> (int * int) list

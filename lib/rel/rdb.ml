@@ -35,12 +35,12 @@ let create ?config ?pool_pages () =
   let disk = Sim_disk.create ?config ?pool_pages () in
   {
     disk;
-    users = Record_store.create disk ~name:"rel.users" ~fields:3;
-    follows = Record_store.create disk ~name:"rel.follows" ~fields:2;
-    tweets = Record_store.create disk ~name:"rel.tweets" ~fields:3;
-    mentions = Record_store.create disk ~name:"rel.mentions" ~fields:2;
-    tags = Record_store.create disk ~name:"rel.tags" ~fields:2;
-    hashtags = Record_store.create disk ~name:"rel.hashtags" ~fields:1;
+    users = Record_store.create disk ~fields:3;
+    follows = Record_store.create disk ~fields:2;
+    tweets = Record_store.create disk ~fields:3;
+    mentions = Record_store.create disk ~fields:2;
+    tags = Record_store.create disk ~fields:2;
+    hashtags = Record_store.create disk ~fields:1;
     strings = Blob_store.create disk ~name:"rel.strings";
     ix_user_uid = Hashtbl.create 1024;
     ix_hashtag_tag = Hashtbl.create 64;

@@ -137,7 +137,6 @@ let attach plan fd =
   tally plan (fun p -> p.conns <- p.conns + 1);
   { plan; fd; sent_first_byte = false; closed = false }
 
-let fd c = c.fd
 
 (* Once closed, the fd number is free for the process to reuse, so a
    second close could shut an unrelated socket. *)

@@ -50,8 +50,6 @@ val attach : plan -> Unix.file_descr -> conn
     after an injected reset, which closes it; {!close} closes it
     exactly once either way. *)
 
-val fd : conn -> Unix.file_descr
-
 val close : conn -> unit
 (** Close the fd unless an injected reset (or an earlier [close])
     already did. *)

@@ -13,8 +13,6 @@ val of_list : int list -> t
 val to_list : t -> int list
 val copy : t -> t
 
-val add : t -> int -> unit
-val remove : t -> int -> unit
 val contains : t -> int -> bool
 val count : t -> int
 val is_empty : t -> bool
@@ -30,12 +28,8 @@ val union_into : t -> t -> unit
 
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val exists : (int -> bool) -> t -> bool
 val sample : t -> Mgq_util.Rng.t -> int
 (** Uniform random member. Requires non-empty. *)
-
-val equal : t -> t -> bool
-val memory_words : t -> int
 
 val of_bitmap : Mgq_bitmap.Bitmap.t -> t
 (** Wrap without copying: the engine hands out copies already. *)

@@ -1,3 +1,5 @@
+module Int_tbl = Mgq_util.Int_tbl
+
 type t = {
   disk : Sim_disk.t;
   name : string;
@@ -6,7 +8,7 @@ type t = {
   mutable write_offset : int; (* next free logical byte *)
   mutable stored_bytes : int;
   mutable count : int;
-  valid : (int, int) Hashtbl.t; (* handle -> payload length *)
+  valid : int Int_tbl.t; (* handle -> payload length *)
 }
 
 let header_bytes = 4
@@ -20,11 +22,11 @@ let create disk ~name =
     write_offset = 0;
     stored_bytes = 0;
     count = 0;
-    valid = Hashtbl.create 1024;
+    valid = Int_tbl.create 1024;
   }
 
 let clone t disk =
-  { t with disk; page_table = Array.copy t.page_table; valid = Hashtbl.copy t.valid }
+  { t with disk; page_table = Array.copy t.page_table; valid = Int_tbl.copy t.valid }
 
 let page_size t = Sim_disk.page_size t.disk
 
@@ -85,11 +87,11 @@ let append t s =
   t.write_offset <- handle + header_bytes + len;
   t.stored_bytes <- t.stored_bytes + len;
   t.count <- t.count + 1;
-  Hashtbl.replace t.valid handle len;
+  Int_tbl.replace t.valid handle len;
   handle
 
 let read t handle =
-  match Hashtbl.find_opt t.valid handle with
+  match Int_tbl.find_opt t.valid handle with
   | None -> invalid_arg (Printf.sprintf "Blob_store.read (%s): bad handle %d" t.name handle)
   | Some len ->
     Cost_model.record_db_hit (Sim_disk.cost t.disk);

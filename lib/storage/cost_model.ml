@@ -155,7 +155,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 
-let budget t = t.budget
 
 let with_budget t budget f =
   match budget with

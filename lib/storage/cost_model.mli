@@ -51,8 +51,6 @@ type t
 val create : ?config:config -> unit -> t
 val config : t -> config
 
-val budget : t -> Mgq_util.Budget.t option
-
 val with_budget : t -> Mgq_util.Budget.t option -> (unit -> 'a) -> 'a
 (** [with_budget t (Some b) f] runs [f] with [b] attached, restoring
     the previously attached budget afterwards (even on raise); with

@@ -74,8 +74,6 @@ type stats = {
 
 val stats : plan -> stats
 
-val suspended : plan -> bool
-
 val with_suspended : plan -> (unit -> 'a) -> 'a
 (** Run [f] with injection paused — used for rollback and recovery
     paths, which model in-memory/reopened work that the fault plan

@@ -1,7 +1,6 @@
 type t = {
   disk : Sim_disk.t;
   cost : Cost_model.t; (* [Sim_disk.cost disk], held to spare a call per db hit *)
-  name : string;
   fields : int;
   record_bytes : int;
   records_per_page : int;
@@ -12,13 +11,12 @@ type t = {
 
 let nil = -1
 
-let create disk ~name ~fields =
+let create disk ~fields =
   assert (fields >= 1 && fields * 8 <= Sim_disk.page_size disk);
   let record_bytes = fields * 8 in
   {
     disk;
     cost = Sim_disk.cost disk;
-    name;
     fields;
     record_bytes;
     records_per_page = Sim_disk.page_size disk / record_bytes;
@@ -29,7 +27,6 @@ let create disk ~name ~fields =
 
 let clone t disk = { t with disk; cost = Sim_disk.cost disk; page_table = Array.copy t.page_table }
 
-let name t = t.name
 let count t = t.count
 
 let locate t id =

@@ -3,13 +3,13 @@
     Neo4j's store layer is a family of fixed-width record files (node
     store, relationship store, property store); record ids are
     positions, so id-to-record lookup is one page access. This module
-    is that abstraction: a named store holds records of a fixed number
+    is that abstraction: a store holds records of a fixed number
     of 8-byte integer fields, packed into pages, with every field
     access counted as a db hit against the disk's cost model. *)
 
 type t
 
-val create : Sim_disk.t -> name:string -> fields:int -> t
+val create : Sim_disk.t -> fields:int -> t
 (** [fields] is the number of 8-byte slots per record; must satisfy
     [1 <= fields] and [fields * 8 <= page_size]. *)
 
@@ -17,8 +17,6 @@ val clone : t -> Sim_disk.t -> t
 (** The same store over [disk], a {!Sim_disk.clone} of this store's
     disk: the page table is copied, so the two stores grow
     independently. *)
-
-val name : t -> string
 
 val allocate : t -> int
 (** Append a zeroed record; returns its id. Ids are dense from 0. *)

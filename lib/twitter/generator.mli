@@ -13,7 +13,7 @@
     - Zipf-distributed hashtags over a vocabulary proportional to the
       user count, and mentions biased towards the author's followees.
 
-    [default_config] reproduces Table 1's node/edge-type {e ratios}
+    {!scaled} reproduces Table 1's node/edge-type {e ratios}
     (tweets ~= users, follows ~= 11.5 x users, mentions ~= 0.46 per
     tweet, tags ~= 0.30 per tweet, hashtags ~= 0.025 x users) at
     whatever [n_users] is chosen. Everything is deterministic in
@@ -36,9 +36,6 @@ type config = {
           composite-query example) *)
   retweets_per_tweet : float;
 }
-
-val default_config : config
-(** Paper ratios, [n_users = 5000], [seed = 42]. *)
 
 val scaled : ?seed:int -> n_users:int -> unit -> config
 

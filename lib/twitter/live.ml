@@ -3,6 +3,7 @@ module Property = Mgq_core.Property
 module Cost_model = Mgq_storage.Cost_model
 module Fault = Mgq_storage.Fault
 module Retry = Mgq_util.Retry
+module Int_tbl = Mgq_util.Int_tbl
 open Mgq_core.Types
 
 (* Transient injected I/O errors are worth retrying; crashes, torn
@@ -19,21 +20,21 @@ module Live_neo = struct
 
   type t = {
     db : Db.t;
-    user_nodes : (int, int) Hashtbl.t; (* uid -> node id *)
+    user_nodes : int Int_tbl.t; (* uid -> node id *)
     hashtag_nodes : (string, int) Hashtbl.t;
   }
 
   let attach db ~users ~tweets ~hashtags (d : Dataset.t) =
     ignore tweets;
-    let user_nodes = Hashtbl.create (Array.length users * 2) in
-    Array.iteri (fun uid node -> Hashtbl.replace user_nodes uid node) users;
+    let user_nodes = Int_tbl.create (Array.length users * 2) in
+    Array.iteri (fun uid node -> Int_tbl.replace user_nodes uid node) users;
     let hashtag_nodes = Hashtbl.create 256 in
     Array.iteri
       (fun i node -> Hashtbl.replace hashtag_nodes d.Dataset.hashtags.(i) node)
       hashtags;
     { db; user_nodes; hashtag_nodes }
 
-  let node_of_uid t uid = Hashtbl.find_opt t.user_nodes uid
+  let node_of_uid t uid = Int_tbl.find_opt t.user_nodes uid
 
   let hashtag_node t tag =
     match Hashtbl.find_opt t.hashtag_nodes tag with
@@ -59,7 +60,7 @@ module Live_neo = struct
                    (Schema.followers, Value.Int 0);
                  ])
           in
-          Hashtbl.replace t.user_nodes uid node
+          Int_tbl.replace t.user_nodes uid node
         | Stream.New_follow { follower; followee } -> (
           match (node_of_uid t follower, node_of_uid t followee) with
           | Some a, Some b ->
@@ -117,8 +118,8 @@ module Live_neo = struct
      undone. Drop such entries so a retry re-creates the nodes. *)
   let forget_rolled_back t event =
     let purge_user uid =
-      match Hashtbl.find_opt t.user_nodes uid with
-      | Some node when not (Db.node_exists t.db node) -> Hashtbl.remove t.user_nodes uid
+      match Int_tbl.find_opt t.user_nodes uid with
+      | Some node when not (Db.node_exists t.db node) -> Int_tbl.remove t.user_nodes uid
       | _ -> ()
     in
     let purge_tag tag =

@@ -37,15 +37,13 @@ val of_deadline_ms : ?max_hits:int -> int -> t
     overflowing. *)
 
 val charge : ?hits:int -> ?ns:int -> t -> unit
-(** Add consumption, then {!check}. Defaults are zero. Charging
-    saturates: negative deltas (a simulated clock re-armed backwards)
-    count as zero, so {!consumed_ns} and {!hits} never decrease. *)
-
-val check : t -> unit
-(** @raise Exhausted when either ceiling has been crossed. *)
+(** Add consumption, then raise {!Exhausted} if either ceiling has
+    been crossed. Defaults are zero. Charging saturates: negative
+    deltas (a simulated clock re-armed backwards) count as zero, so
+    {!consumed_ns} and {!hits} never decrease. *)
 
 val exhausted : t -> bool
-(** Whether {!check} would raise. *)
+(** Whether either ceiling has been crossed. *)
 
 val hits : t -> int
 val consumed_ns : t -> int

@@ -64,5 +64,3 @@ let read_rows path f =
     close_in ic;
     raise e);
   !count
-
-let row_count path = read_rows path (fun _ -> ())

@@ -19,6 +19,3 @@ val read_rows : string -> (string list -> unit) -> int
 (** [read_rows path f] streams every row of [path] through [f],
     returning the row count. Fields are unescaped. Raises [Sys_error]
     if the file cannot be read. *)
-
-val row_count : string -> int
-(** Number of rows without materialising them. *)

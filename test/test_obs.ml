@@ -344,7 +344,7 @@ let test_metrics_shed_and_breaker () =
     Breaker.create
       ~config:
         { Breaker.failure_threshold = 2; open_for = 1; probe_successes = 1; probe_p = 1.0 }
-      ~name:"t" (Mgq_util.Rng.create 7)
+      (Mgq_util.Rng.create 7)
   in
   Breaker.record_failure b ~now:0;
   Breaker.record_failure b ~now:0;

@@ -32,7 +32,7 @@ let breaker_config =
   { Breaker.failure_threshold = 3; open_for = 10; probe_successes = 2; probe_p = 1.0 }
 
 let test_breaker_trips_on_consecutive_failures () =
-  let b = Breaker.create ~config:breaker_config ~name:"t" (Rng.create 1) in
+  let b = Breaker.create ~config:breaker_config (Rng.create 1) in
   check state_testable "starts closed" Breaker.Closed (Breaker.state b ~now:0);
   Breaker.record_failure b ~now:1;
   Breaker.record_failure b ~now:2;
@@ -44,7 +44,7 @@ let test_breaker_trips_on_consecutive_failures () =
   check Alcotest.int "one open" 1 (Breaker.opens b)
 
 let test_breaker_success_resets_streak () =
-  let b = Breaker.create ~config:breaker_config ~name:"t" (Rng.create 1) in
+  let b = Breaker.create ~config:breaker_config (Rng.create 1) in
   Breaker.record_failure b ~now:1;
   Breaker.record_failure b ~now:2;
   Breaker.record_success b ~now:3;
@@ -63,7 +63,7 @@ let test_breaker_probes_then_closes () =
     Breaker.create ~config:breaker_config
       ~on_open:(fun () -> incr opened)
       ~on_close:(fun () -> incr closed)
-      ~name:"t" (Rng.create 1)
+      (Rng.create 1)
   in
   trip b ~now:0;
   check Alcotest.int "on_open fired" 1 !opened;
@@ -81,7 +81,7 @@ let test_breaker_probes_then_closes () =
   check Alcotest.int "on_close fired" 1 !closed
 
 let test_breaker_probe_failure_reopens () =
-  let b = Breaker.create ~config:breaker_config ~name:"t" (Rng.create 1) in
+  let b = Breaker.create ~config:breaker_config (Rng.create 1) in
   trip b ~now:0;
   let after = 3 + breaker_config.Breaker.open_for in
   check state_testable "half-open" Breaker.Half_open (Breaker.state b ~now:after);
@@ -92,7 +92,7 @@ let test_breaker_probe_failure_reopens () =
 
 let test_breaker_probe_admission_is_seeded () =
   let never = { breaker_config with Breaker.probe_p = 0.0 } in
-  let b = Breaker.create ~config:never ~name:"t" (Rng.create 1) in
+  let b = Breaker.create ~config:never (Rng.create 1) in
   trip b ~now:0;
   let after = 3 + never.Breaker.open_for in
   for i = 0 to 9 do

@@ -177,7 +177,7 @@ let prop_data_survives_any_access_pattern =
 
 let test_record_store_roundtrip () =
   let d = Sim_disk.create ~page_size:256 ~pool_pages:16 () in
-  let s = Record_store.create d ~name:"node" ~fields:4 in
+  let s = Record_store.create d ~fields:4 in
   let a = Record_store.allocate s in
   let b = Record_store.allocate s in
   Record_store.set s ~id:a ~field:0 42;
@@ -191,7 +191,7 @@ let test_record_store_roundtrip () =
 
 let test_record_store_whole_record () =
   let d = Sim_disk.create ~page_size:256 ~pool_pages:16 () in
-  let s = Record_store.create d ~name:"rel" ~fields:3 in
+  let s = Record_store.create d ~fields:3 in
   let id = Record_store.allocate s in
   Record_store.set_record s ~id [| 1; Record_store.nil; 12345678901 |];
   check Alcotest.(array int) "record roundtrip"
@@ -200,7 +200,7 @@ let test_record_store_whole_record () =
 
 let test_record_store_many_pages () =
   let d = Sim_disk.create ~page_size:128 ~pool_pages:4 () in
-  let s = Record_store.create d ~name:"wide" ~fields:2 in
+  let s = Record_store.create d ~fields:2 in
   let n = 1000 in
   for i = 0 to n - 1 do
     let id = Record_store.allocate s in
@@ -218,7 +218,7 @@ let test_record_store_many_pages () =
 
 let test_record_store_counts_db_hits () =
   let d = Sim_disk.create () in
-  let s = Record_store.create d ~name:"x" ~fields:1 in
+  let s = Record_store.create d ~fields:1 in
   let id = Record_store.allocate s in
   let before = Cost_model.snapshot (Sim_disk.cost d) in
   Record_store.set s ~id ~field:0 5;
@@ -231,7 +231,7 @@ let prop_record_store_model =
     QCheck.(list (triple (int_range 0 49) (int_range 0 2) int))
     (fun writes ->
       let d = Sim_disk.create ~page_size:128 ~pool_pages:2 () in
-      let s = Record_store.create d ~name:"m" ~fields:3 in
+      let s = Record_store.create d ~fields:3 in
       for _ = 1 to 50 do
         ignore (Record_store.allocate s)
       done;
@@ -275,7 +275,7 @@ let prop_record_store_full_range =
     (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list write))
     (fun writes ->
       let d = Sim_disk.create ~page_size:512 ~pool_pages:2 () in
-      let s = Record_store.create d ~name:"wide" ~fields in
+      let s = Record_store.create d ~fields in
       for _ = 1 to records do
         ignore (Record_store.allocate s)
       done;

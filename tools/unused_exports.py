@@ -7,11 +7,11 @@ bench, test, perfbench or examples. A value used only inside its module
 belongs out of the interface; a value used nowhere belongs out of the
 code.
 
-- A top-level `val` needs its name as a whole word in such a file.
-- A `val` declared inside `module X : sig ... end` needs a qualified
-  use, `X.name`, or its bare name in a file that opens or includes X
-  (`open X`, `let open X in`, `X.( ... )`, or a local alias
-  `module A = ... X` used as `A.name`). Comments do not count.
+A `val` of module M (the file m.mli, or `module M : sig ... end`
+inside it) needs a qualified use, `M.name`, or its bare name in a file
+that opens or includes M (`open M`, `let open M in`, `M.( ... )`,
+`M.[ ... ]`, or a local alias `module A = ... M` used as `A.name`).
+Comments do not count.
 
 Run from the repository root:  python3 tools/unused_exports.py
 Exit status 0 when every export has a caller, 1 otherwise.
@@ -25,7 +25,10 @@ VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 SUBMODULE = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*:\s*sig\b")
 OPENS = re.compile(r"\b(?:end|sig|struct|object|begin)\b")
-PATH = r"(?:[A-Z][A-Za-z0-9_']*\s*\.\s*)*"
+DOTTED = re.compile(r"\b[A-Z][A-Za-z0-9_']*(?:\s*\.\s*[A-Za-z_][A-Za-z0-9_']*)+")
+OPEN = re.compile(r"\b(?:open!?|include)\s+([A-Z][A-Za-z0-9_']*(?:\s*\.\s*[A-Z][A-Za-z0-9_']*)*)")
+LOCAL_OPEN = re.compile(r"\b([A-Z][A-Za-z0-9_']*)\s*\.\s*[([{]")
+ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*=\s*([A-Z][A-Za-z0-9_']*(?:\s*\.\s*[A-Z][A-Za-z0-9_']*)*)")
 CHAR = re.compile(r"'(?:[^\\']|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}))'")
 
 
@@ -68,18 +71,28 @@ def submodule_spans(text):
     return spans
 
 
-def qualified_use(text, mod, name):
-    """[name] used through [mod] in [text]: qualified, opened or aliased."""
-    names = {mod} | set(re.findall(
-        r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*=\s*" + PATH + re.escape(mod) + r"\b",
-        text))
-    for q in names:
-        if re.search(r"\b" + re.escape(q) + r"\s*\.\s*" + re.escape(name) + r"\b", text):
-            return True
-        opened = re.search(
-            r"\b(?:open!?|include)\s+" + PATH + re.escape(q) + r"\b|\b"
-            + re.escape(q) + r"\s*\.\s*\(", text)
-        if opened and re.search(r"\b" + re.escape(name) + r"\b", text):
+def uses(text):
+    """What [text] can reach a module's values by: the `X.name` pairs
+    it names, the module names it opens (or includes, or opens
+    locally), its aliases `module A = ... X` and its bare words."""
+    pairs = set()
+    for chain in DOTTED.findall(text):
+        parts = re.split(r"\s*\.\s*", chain)
+        pairs.update(zip(parts, parts[1:]))
+    opened = {c for p in OPEN.findall(text) for c in re.split(r"\s*\.\s*", p)}
+    opened.update(LOCAL_OPEN.findall(text))
+    aliases = {}
+    for alias, path in ALIAS.findall(text):
+        for c in re.split(r"\s*\.\s*", path):
+            aliases.setdefault(c, set()).add(alias)
+    return pairs, opened, aliases, set(WORD.findall(text))
+
+
+def qualified_use(use, mod, name):
+    """[name] used through [mod]: qualified, opened or aliased."""
+    pairs, opened, aliases, words = use
+    for q in {mod} | aliases.get(mod, set()):
+        if (q, name) in pairs or (q in opened and name in words):
             return True
     return False
 
@@ -87,9 +100,8 @@ def qualified_use(text, mod, name):
 def main():
     files = [p for r in ROOTS for p in sorted(pathlib.Path(r).rglob("*"))
              if p.suffix in (".ml", ".mli") and "_build" not in p.parts]
-    texts = {p: p.read_text() for p in files}
-    code = {p: strip_comments(t) for p, t in texts.items()}
-    words = {p: set(WORD.findall(t)) for p, t in texts.items()}
+    code = {p: strip_comments(p.read_text()) for p in files}
+    use = {p: uses(t) for p, t in code.items()}
     unused = []
     for mli in sorted(pathlib.Path("lib").glob("*/*.mli")):
         own = {mli, mli.with_suffix(".ml")}
@@ -97,16 +109,12 @@ def main():
         spans = submodule_spans(text)
         for m in VAL.finditer(text):
             name = m.group(1)
-            mod = next((s for s, a, b in spans if a <= m.start() < b), None)
-            if mod is None:
-                used = any(name in ws for p, ws in words.items() if p not in own)
-            else:
-                used = any(qualified_use(t, mod, name)
-                           for p, t in code.items() if p not in own)
-            if not used:
+            mod = next((s for s, a, b in spans if a <= m.start() < b),
+                       mli.stem.capitalize())
+            if not any(qualified_use(u, mod, name)
+                       for p, u in use.items() if p not in own):
                 line = text.count("\n", 0, m.start()) + 1
-                what = name if mod is None else f"{mod}.{name}"
-                unused.append(f"{mli}:{line}: val {what} has no caller "
+                unused.append(f"{mli}:{line}: val {mod}.{name} has no caller "
                               "outside its module")
     for u in unused:
         print(u)
