@@ -502,7 +502,11 @@ let commit_txn t txn =
       txn.tx_entries;
     (* Statistics deltas land only once the transaction is durable; a
        failed append above leaves them buffered for rollback to drop. *)
-    List.iter (Catalog.apply t.catalog) (List.rev txn.tx_stats);
+    (match txn.tx_stats with
+    | [] -> ()
+    | events ->
+      Obs.Trace.with_span "db.commit.catalog" (fun () ->
+          List.iter (Catalog.apply t.catalog) (List.rev events)));
     close_txn t txn;
     Obs.Counter.incr m_commits
 

@@ -16,6 +16,7 @@ module Types = Mgq_core.Types
 module Rng = Mgq_util.Rng
 module Cost_model = Mgq_storage.Cost_model
 module Sim_disk = Mgq_storage.Sim_disk
+module Obs = Mgq_obs.Obs
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -440,16 +441,22 @@ end
 
 type sketch_op = Event of Catalog.event | Rebuild
 
+(* [Float 1.] must stay a key apart from [Int 1], and every [Float nan]
+   must be one key: the reference's generic table compares keys with
+   [compare a b = 0]. *)
 let sketch_value = function
   | 0 -> Value.Null
   | i when i <= 9 -> Value.Int i
+  | 13 -> Value.Float 1.
+  | 14 -> Value.Float nan
+  | 15 -> Value.Bool true
   | i -> Value.Str (String.make 1 (Char.chr (Char.code 'a' + i - 10)))
 
 (* Small node, label and value domains, so values repeat, counts tie
    and removals often name values the node never had. *)
 let gen_sketch_op =
   let open QCheck.Gen in
-  let node = int_bound 11 and value = map sketch_value (int_bound 12) in
+  let node = int_bound 11 and value = map sketch_value (int_bound 15) in
   let key = oneofl [ "k"; "j" ] in
   frequency
     [
@@ -496,7 +503,9 @@ let sketch_mismatch ops =
   let check_all () =
     List.find_map
       (fun (label, key) ->
-        let expect name a b = if a = b then None else Some (Printf.sprintf "%s %s.%s" name label key) in
+        let expect name a b =
+          if compare a b = 0 then None else Some (Printf.sprintf "%s %s.%s" name label key)
+        in
         let top = match Ref_props.mcv !r ~k:1 ~label ~key with (v, _) :: _ -> Some v | [] -> None in
         List.find_map Fun.id
           [
@@ -563,13 +572,271 @@ let test_sketch_memoised () =
   check Alcotest.int "new top count" 4 (snd (List.hd after))
 
 (* ------------------------------------------------------------------ *)
+(* Typed degrees against a fold-and-bucket model                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [rebuild] replays its scan through [apply], so incremental = rebuilt
+   cannot catch a fault the two share. This model recomputes the label,
+   degree and endpoint statistics from the live nodes and the live edge
+   multiset alone. Node ids are sparse, some past 10,000, so the
+   catalog's per-node arrays grow mid-run; [ghosts] are never added, so
+   their edges count under label "?". As in a [Db], a node is removed
+   only once it has no edges and is added only while absent. *)
+type degree_op =
+  | Add_node of int * string
+  | Remove_node of int
+  | Add_edge of string * int * int
+  | Remove_edge of int  (** the i-th live edge, modulo their number *)
+
+let real_ids = [| 0; 3; 7; 64; 1_000; 10_007; 12_345; 40_000 |]
+let ghosts = [| 5; 20_001 |]
+let degree_labels = [ "user"; "tweet"; "?" ]
+let degree_etypes = [ "follows"; "posts" ]
+
+let gen_degree_op =
+  let open QCheck.Gen in
+  let real = oneofa real_ids in
+  let endpoint = frequency [ (4, real); (1, oneofa ghosts) ] in
+  frequency
+    [
+      (3, map2 (fun n l -> Add_node (n, l)) real (oneofl [ "user"; "tweet" ]));
+      (1, map (fun n -> Remove_node n) real);
+      (6, map3 (fun ty s d -> Add_edge (ty, s, d)) (oneofl degree_etypes) endpoint endpoint);
+      (3, map (fun i -> Remove_edge i) nat);
+    ]
+
+let print_degree_op = function
+  | Add_node (n, l) -> Printf.sprintf "add %d:%s" n l
+  | Remove_node n -> Printf.sprintf "remove %d" n
+  | Add_edge (ty, s, d) -> Printf.sprintf "%d-[%s]->%d" s ty d
+  | Remove_edge i -> Printf.sprintf "unlink #%d" i
+
+module Ref_degrees = struct
+  type t = { labels : (int, string) Hashtbl.t; mutable edges : (string * int * int) list }
+
+  let label_of r n = Option.value ~default:"?" (Hashtbl.find_opt r.labels n)
+
+  (* The largest i with 2^i <= d. *)
+  let bucket d =
+    let rec go i = if 1 lsl (i + 1) > d then i else go (i + 1) in
+    go 0
+
+  (* (label, etype, out) -> (edges, bucket of each node with an edge). *)
+  let histograms r =
+    let degree = Hashtbl.create 16 in
+    List.iter
+      (fun (ty, s, d) ->
+        List.iter
+          (fun (out, n) ->
+            let k = (label_of r n, ty, out, n) in
+            Hashtbl.replace degree k (1 + Option.value ~default:0 (Hashtbl.find_opt degree k)))
+          [ (true, s); (false, d) ])
+      r.edges;
+    let hists = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun (l, ty, out, _) d ->
+        let edges, buckets = Option.value ~default:(0, []) (Hashtbl.find_opt hists (l, ty, out)) in
+        Hashtbl.replace hists (l, ty, out) (edges + d, bucket d :: buckets))
+      degree;
+    hists
+
+  let label_count r l = Hashtbl.fold (fun _ l' acc -> if l' = l then acc + 1 else acc) r.labels 0
+
+  let summary r hists ~src_label ~etype ~dir : Catalog.degree_summary =
+    let outs = match dir with Types.Out -> [ true ] | In -> [ false ] | Both -> [ true; false ] in
+    let matched =
+      Hashtbl.fold
+        (fun (l, ty, out) h acc ->
+          if
+            Option.fold ~none:true ~some:(( = ) l) src_label
+            && Option.fold ~none:true ~some:(( = ) ty) etype
+            && List.mem out outs
+          then h :: acc
+          else acc)
+        hists []
+    in
+    let sources =
+      match src_label with Some l -> label_count r l | None -> Hashtbl.length r.labels
+    in
+    let edges = List.fold_left (fun acc (e, _) -> acc + e) 0 matched in
+    let top buckets = List.fold_left max 0 buckets in
+    let ds_max = List.fold_left (fun acc (_, bs) -> acc + (1 lsl (top bs + 1)) - 1) 0 matched in
+    let ds_min =
+      match (matched, src_label) with
+      | [ (_, bs) ], Some _ when List.length bs >= sources -> 1 lsl List.fold_left min max_int bs
+      | _ -> 0
+    in
+    {
+      ds_edges = edges;
+      ds_sources = sources;
+      ds_min;
+      ds_max;
+      ds_avg = float_of_int edges /. float_of_int (max 1 sources);
+    }
+
+  let endpoint_labels r ~etype ~dir =
+    List.concat_map
+      (fun (ty, s, d) ->
+        if ty <> etype then []
+        else
+          match dir with
+          | Types.Out -> [ label_of r d ]
+          | In -> [ label_of r s ]
+          | Both -> [ label_of r s; label_of r d ])
+      r.edges
+    |> List.sort_uniq compare
+end
+
+(* Replays the valid ops into a catalog and the model; the first
+   statistic they disagree on, if any. *)
+let degree_mismatch ops =
+  let cat = Catalog.create () in
+  let r = { Ref_degrees.labels = Hashtbl.create 16; edges = [] } in
+  let has_edges n = List.exists (fun (_, s, d) -> s = n || d = n) r.edges in
+  let step = function
+    | Add_node (node, label) when not (Hashtbl.mem r.labels node) ->
+      Hashtbl.replace r.labels node label;
+      Some (Catalog.Node_added { node; label; props = [] })
+    | Remove_node node when Hashtbl.mem r.labels node && not (has_edges node) ->
+      Hashtbl.remove r.labels node;
+      Some (Catalog.Node_removed { node; props = [] })
+    | Add_edge (etype, src, dst)
+      when (Hashtbl.mem r.labels src || Array.mem src ghosts)
+           && (Hashtbl.mem r.labels dst || Array.mem dst ghosts) ->
+      r.edges <- (etype, src, dst) :: r.edges;
+      Some (Catalog.Edge_added { etype; src; dst })
+    | Remove_edge i when r.edges <> [] ->
+      let etype, src, dst = List.nth r.edges (i mod List.length r.edges) in
+      r.edges <- List.filteri (fun j _ -> j <> i mod List.length r.edges) r.edges;
+      Some (Catalog.Edge_removed { etype; src; dst })
+    | _ -> None
+  in
+  let check_all () =
+    let hists = Ref_degrees.histograms r in
+    let labels = None :: List.map Option.some degree_labels in
+    let etypes = None :: List.map Option.some degree_etypes in
+    let expect what a b = if a = b then None else Some what in
+    let name = Option.value ~default:"*" in
+    List.find_map Fun.id
+      ([
+         expect "total_nodes" (Hashtbl.length r.labels) (Catalog.total_nodes cat);
+       ]
+      @ List.map
+          (fun l ->
+            expect ("label_count " ^ l) (Ref_degrees.label_count r l) (Catalog.label_count cat l))
+          degree_labels
+      @ List.concat_map
+          (fun src_label ->
+            List.concat_map
+              (fun etype ->
+                List.map
+                  (fun (dir, dname) ->
+                    expect
+                      (Printf.sprintf "degree_summary %s/%s/%s" (name src_label) (name etype) dname)
+                      (Ref_degrees.summary r hists ~src_label ~etype ~dir)
+                      (Catalog.degree_summary cat ~src_label ~etype ~dir))
+                  [ (Types.Out, "out"); (Types.In, "in"); (Types.Both, "both") ])
+              etypes)
+          labels
+      @ List.concat_map
+          (fun etype ->
+            List.map
+              (fun dir ->
+                expect ("endpoint_labels " ^ etype)
+                  (Ref_degrees.endpoint_labels r ~etype ~dir)
+                  (Catalog.endpoint_labels cat ~etype ~dir))
+              [ Types.Out; Types.In; Types.Both ])
+          degree_etypes)
+  in
+  List.find_map
+    (fun op ->
+      match step op with
+      | None -> None
+      | Some e ->
+        Catalog.apply cat e;
+        Option.map (fun what -> what ^ " after " ^ print_degree_op op) (check_all ()))
+    ops
+
+let prop_degrees_match_model =
+  QCheck.Test.make ~name:"label, degree and endpoint stats = fold over live edges" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_degree_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_degree_op))
+    (fun ops ->
+      match degree_mismatch ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* ------------------------------------------------------------------ *)
+(* A clone's statistics share nothing with the original's              *)
+(* ------------------------------------------------------------------ *)
+
+(* Writes on each side — new nodes whose ids run past every array's old
+   length, edges and property changes on nodes both sides share, an
+   edge deletion — must leave the other side's dump unchanged. *)
+let test_clone_stats_independent () =
+  let db = Db.create () in
+  let users =
+    Array.init 8 (fun i -> Db.create_node db ~label:"user" (props [ ("uid", Value.Int i) ]))
+  in
+  let first_edge =
+    Db.create_edge db ~etype:"follows" ~src:users.(0) ~dst:users.(1) no_props
+  in
+  let dump d = Catalog.dump (Db.stats d) in
+  let write d ~tag =
+    for i = 0 to 599 do
+      let t = Db.create_node d ~label:tag (props [ ("tid", Value.Int i) ]) in
+      ignore (Db.create_edge d ~etype:"posts" ~src:users.(i mod 8) ~dst:t no_props);
+      ignore (Db.create_edge d ~etype:tag ~src:users.(i mod 8) ~dst:users.((i + 3) mod 8) no_props)
+    done;
+    Db.set_node_property d users.(2) "uid" (Value.Str tag);
+    Db.delete_edge d first_edge
+  in
+  let clone = Db.clone db in
+  let original = dump db in
+  check Alcotest.string "clone starts equal" original (dump clone);
+  write clone ~tag:"tweet";
+  check Alcotest.string "original unchanged by the clone's writes" original (dump db);
+  let cloned = dump clone in
+  write db ~tag:"reply";
+  check Alcotest.string "clone unchanged by the original's writes" cloned (dump clone);
+  check Alcotest.bool "both sides changed" true (original <> cloned && original <> dump db)
+
+(* ------------------------------------------------------------------ *)
+(* The catalog step is a span of its own                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_commit_spans () =
+  let db = Db.create () in
+  let a = Db.create_node db ~label:"user" no_props in
+  Obs.Trace.enable ();
+  Obs.Trace.with_span "test.write" (fun () ->
+      Db.with_tx db (fun () ->
+          let b = Db.create_node db ~label:"user" no_props in
+          ignore (Db.create_edge db ~etype:"follows" ~src:a ~dst:b no_props)));
+  Obs.Trace.disable ();
+  let one name =
+    match Obs.Trace.find name with
+    | [ s ] -> s
+    | ss -> Alcotest.failf "%d spans named %s" (List.length ss) name
+  in
+  let parent = Some (one "test.write").Obs.Trace.id in
+  check (Alcotest.option Alcotest.int) "WAL append under the write" parent
+    (one "db.commit.wal_append").Obs.Trace.parent;
+  check (Alcotest.option Alcotest.int) "catalog apply under the write" parent
+    (one "db.commit.catalog").Obs.Trace.parent
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
     ( "incremental",
       [
         qtest prop_incremental_equals_rebuild;
+        qtest prop_degrees_match_model;
         Alcotest.test_case "epoch protocol" `Quick test_epoch_protocol;
+        Alcotest.test_case "clone stats independent" `Quick test_clone_stats_independent;
       ] );
     ( "estimator",
       [
@@ -596,6 +863,7 @@ let suite =
         Alcotest.test_case "typed degree O(1) on dense nodes" `Quick
           test_typed_degree_constant_hits;
       ] );
+    ("trace", [ Alcotest.test_case "commit spans" `Quick test_commit_spans ]);
     ( "sketch",
       [
         qtest prop_sketch_matches_reference;
