@@ -61,7 +61,6 @@ let run cfg =
   let sched_rng = Rng.split prog_rng in
   let db = Db.create () in
   Db.set_isolation db cfg.isolation;
-  Db.set_read_tracking db true;
   let next_val = ref 0 in
   let fresh () =
     incr next_val;
@@ -171,13 +170,6 @@ let run cfg =
             History.record hist ~session:s.sid ~txn:tid History.Commit_ok;
             incr committed;
             acked := (tid, tx_writes tid) :: !acked;
-            s.cur <- None
-          | exception Db.Tx_conflict c ->
-            (* [commit_txn] has rolled the loser back already. *)
-            incr conflicts;
-            incr aborted;
-            History.record hist ~session:s.sid ~txn:tid
-              (History.Conflict { key = c.Db.c_key; reason = c.Db.c_reason });
             s.cur <- None
           | exception (Fault.Torn_write _ | Fault.Crashed _) ->
             (* Died inside the commit's WAL append: the record is

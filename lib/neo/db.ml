@@ -107,8 +107,6 @@ type txn = {
   mutable tx_entries : (vkey * ventry) list; (* write set, newest first *)
   mutable tx_redo : Wal.op list; (* reversed; committed as one record *)
   mutable tx_stats : Catalog.event list; (* reversed; applied at commit *)
-  mutable tx_reads : vkey list; (* newest first; only under read tracking *)
-  mutable tx_read_seen : (vkey, unit) Hashtbl.t option; (* made at the first tracked read *)
 }
 
 (* Creation parameters, kept so [recover] can rebuild an identically
@@ -140,17 +138,16 @@ type t = {
   mutable edge_count : int;
   mutable wal : Wal.t option;
   catalog : Catalog.t;
-  (* MVCC state. [versions] and [commit_marks] are transient: both are
-     cleared whenever the last open transaction closes, so they are
-     empty (closure-free, marshal-safe) at every save point. *)
+  (* MVCC state. [versions] is transient: it is filled only while a
+     second viewer exists ([shared]) and cleared whenever the last open
+     transaction closes, so it is empty at every save point. *)
   mutable ts : int; (* commit timestamp counter *)
   mutable next_txn_id : int;
   mutable active : txn option; (* the txn whose snapshot reads resolve *)
   mutable open_txns : txn list;
   versions : (vkey, ventry list ref) Hashtbl.t; (* newest entry first *)
-  commit_marks : (vkey, int) Hashtbl.t; (* key -> last commit ts *)
+  mutable shared : bool; (* writes publish to [versions] *)
   mutable isolation : isolation;
-  mutable track_reads : bool;
   (* Scratch for the packed chain walks ([Record_store.read_into]):
      one array, sized for the widest record read through it, reused
      across every step, so the walks themselves allocate nothing.
@@ -193,9 +190,8 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
       active = None;
       open_txns = [];
       versions = Hashtbl.create 64;
-      commit_marks = Hashtbl.create 64;
+      shared = false;
       isolation = Snapshot;
-      track_reads = false;
       scratch = Array.make (max prop_fields rel_fields) 0;
     }
   in
@@ -203,8 +199,8 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
   t
 
 (* A base backup: every structure is copied, so the clone and [t]
-   evolve independently from here. The MVCC tables are empty whenever
-   no transaction is open, so they start fresh. *)
+   evolve independently from here. The version table is empty whenever
+   no transaction is open, so it starts fresh. *)
 let clone t =
   if t.open_txns <> [] then raise (Tx_error "Db.clone: transaction open");
   let disk = Sim_disk.clone t.disk in
@@ -230,7 +226,6 @@ let clone t =
     wal = Option.map (fun w -> Wal.clone w disk) t.wal;
     catalog = Catalog.copy t.catalog;
     versions = Hashtbl.create 64;
-    commit_marks = Hashtbl.create 64;
     scratch = Array.make (Array.length t.scratch) 0;
   }
 
@@ -258,8 +253,14 @@ let property_keys t = Dict.names t.key_dict
 
 (* ---------------- transactions (MVCC-lite) ---------------- *)
 
-(* Writes land in place; each transactional write pushes a version
-   entry carrying the key's before-image onto that key's chain.
+(* Writes land in place; each transactional write records a version
+   entry with the key's before-image in the transaction's write set,
+   which doubles as its undo log. A lone transaction's view is the
+   in-place state, so its entries stay with it. When a second viewer
+   appears ([begin_txn] while one is open, or [deactivate]) the open
+   write sets are published to [versions], a chain per key, and later
+   writes publish as they happen until the last transaction closes.
+
    Readers resolve a key by walking its chain newest-first: entries
    written by the viewing transaction, or committed at or before its
    begin timestamp, are visible; the key's value in the viewer's
@@ -267,13 +268,10 @@ let property_keys t = Dict.names t.key_dict
    invisible entries form a prefix of the chain — writers are serial
    per key), or the in-place value when every entry is visible.
 
-   Write-write conflicts are detected eagerly against concurrent
-   uncommitted writers (second updater loses, like Postgres's SI
-   update conflict) and validated again at commit against commits that
-   landed after the snapshot (first committer wins). Both surface as
-   the typed {!Tx_conflict}. Under [Read_uncommitted] all of this is
-   bypassed — that mode is the undo-list baseline the consistency
-   audit uses to demonstrate the anomalies SI removes. *)
+   Conflicts are checked once, at the write ([claim_write]). Under
+   [Read_uncommitted] nothing is published, so nothing is resolved or
+   checked — the undo-list baseline the consistency audit uses to
+   demonstrate the anomalies SI removes. *)
 
 let describe_vkey t = function
   | K_node id -> Printf.sprintf "node %d" id
@@ -288,17 +286,20 @@ let set_isolation t mode =
   if t.open_txns <> [] then raise (Tx_error "Db.set_isolation: transactions open");
   t.isolation <- mode
 
-let set_read_tracking t on = t.track_reads <- on
 let open_txn_count t = List.length t.open_txns
 
-(* Both tables are cleared as soon as no transaction is open: any
-   later snapshot begins after every commit recorded here, so nothing
-   old enough to need a before-image can ever look again. *)
+(* The table is cleared as soon as no transaction is open: any later
+   snapshot begins after every commit recorded here, so nothing old
+   enough to need a before-image can ever look again. *)
 let gc_versions t =
-  if t.open_txns = [] then begin
+  if t.open_txns = [] && t.shared then begin
     Hashtbl.reset t.versions;
-    Hashtbl.reset t.commit_marks
+    t.shared <- false
   end
+
+(* Reads and writes consult version chains only while some exist;
+   otherwise every viewer's state is the in-place one. *)
+let versioned t = Hashtbl.length t.versions > 0
 
 let entry_visible t e =
   match t.active with
@@ -309,97 +310,81 @@ let entry_visible t e =
 (* Resolve key [k] for the current viewer: [base] reads the in-place
    state, [before] projects a before-image. *)
 let resolve t k ~base ~before =
-  if t.isolation = Read_uncommitted || Hashtbl.length t.versions = 0 then base ()
-  else
-    match Hashtbl.find_opt t.versions k with
+  match Hashtbl.find_opt t.versions k with
+  | None -> base ()
+  | Some entries ->
+    let rec walk oldest_invisible = function
+      | [] -> oldest_invisible
+      | e :: older ->
+        if entry_visible t e then oldest_invisible else walk (Some e) older
+    in
+    (match walk None !entries with
     | None -> base ()
-    | Some entries ->
-      let rec walk oldest_invisible = function
-        | [] -> oldest_invisible
-        | e :: older ->
-          if entry_visible t e then oldest_invisible else walk (Some e) older
-      in
-      (match walk None !entries with
-      | None -> base ()
-      | Some e -> before e.ve_before)
-
-(* Snapshot reads need chain walks instead of the in-place fast path
-   only while version entries exist at all. *)
-let mvcc_read_needed t = t.isolation = Snapshot && Hashtbl.length t.versions > 0
-
-let track_read t k =
-  if t.track_reads then
-    match t.active with
-    | Some txn ->
-      let seen =
-        match txn.tx_read_seen with
-        | Some seen -> seen
-        | None ->
-          let seen = Hashtbl.create 8 in
-          txn.tx_read_seen <- Some seen;
-          seen
-      in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.replace seen k ();
-        txn.tx_reads <- k :: txn.tx_reads
-      end
-    | None -> ()
+    | Some e -> before e.ve_before)
 
 let conflict t k reason victim =
   Obs.Counter.incr m_tx_conflicts;
   raise (Tx_conflict { c_txn = victim; c_key = describe_vkey t k; c_reason = reason })
 
-(* Pre-write conflict check, before any physical mutation. A key with
-   an uncommitted entry by another live transaction is claimed — the
-   second updater loses immediately. A key overwritten by a commit
-   newer than our snapshot is doomed to fail first-committer-wins
-   validation, so it fails fast here too. *)
+(* Pre-write conflict check, before any physical mutation, against the
+   head of the key's chain. An uncommitted entry by another writer
+   claims the key: the second updater loses immediately (like
+   Postgres's SI update conflict). A committed head newer than our
+   snapshot means the key was overwritten after it; writers are serial
+   per key, so the head carries the key's last commit. A claimed key
+   can take no other commit, so commit validates nothing. *)
 let claim_write t k =
-  if t.isolation = Snapshot then begin
-    (match Hashtbl.find_opt t.versions k with
-    | Some { contents = e :: _ } when e.ve_commit_ts < 0 -> (
+  if versioned t then
+    match Hashtbl.find_opt t.versions k with
+    | Some { contents = e :: _ } -> (
       match t.active with
       | Some txn when e.ve_writer = txn.tx_id -> ()
-      | Some txn -> conflict t k "write-write conflict with uncommitted transaction" txn.tx_id
-      | None -> conflict t k "auto-commit write against uncommitted transaction" (-1))
-    | _ -> ());
-    match t.active with
-    | Some txn -> (
-      match Hashtbl.find_opt t.commit_marks k with
-      | Some ts when ts > txn.tx_begin_ts ->
+      | Some txn when e.ve_commit_ts < 0 ->
+        conflict t k "write-write conflict with uncommitted transaction" txn.tx_id
+      | Some txn when e.ve_commit_ts > txn.tx_begin_ts ->
         conflict t k "overwritten by a commit after this snapshot" txn.tx_id
-      | _ -> ())
-    | None -> ()
+      | None when e.ve_commit_ts < 0 ->
+        conflict t k "auto-commit write against uncommitted transaction" (-1)
+      | Some _ | None -> ())
+    | _ -> ()
+
+let publish t k e =
+  match Hashtbl.find_opt t.versions k with
+  | Some l -> l := e :: !l
+  | None -> Hashtbl.replace t.versions k (ref [ e ])
+
+(* A second viewer appears: the open transactions' write sets become
+   chains, oldest first, and from here every write publishes at once.
+   Under [Read_uncommitted] nothing is ever published. *)
+let share t =
+  if (not t.shared) && t.isolation = Snapshot then begin
+    t.shared <- true;
+    List.iter
+      (fun txn -> List.iter (fun (k, e) -> publish t k e) (List.rev txn.tx_entries))
+      (List.rev t.open_txns)
   end
 
 (* Register a write's before-image and undo. Inside a transaction the
-   entry is uncommitted bookkeeping; an auto-commit write that runs
-   while other transactions hold open snapshots leaves an
-   already-committed entry so those snapshots keep resolving to the
-   before-image. *)
+   entry joins the write set, and the chains too once they are shared.
+   An auto-commit write that runs while other transactions hold open
+   snapshots leaves an already-committed entry so those snapshots keep
+   resolving to the before-image. *)
 let push_entry t k ~before_img ~undo =
   match t.active with
   | Some txn ->
     let e = { ve_writer = txn.tx_id; ve_commit_ts = -1; ve_before = before_img; ve_undo = undo } in
-    if t.isolation = Snapshot then begin
-      match Hashtbl.find_opt t.versions k with
-      | Some l -> l := e :: !l
-      | None -> Hashtbl.replace t.versions k (ref [ e ])
-    end;
-    txn.tx_entries <- (k, e) :: txn.tx_entries
+    txn.tx_entries <- (k, e) :: txn.tx_entries;
+    if t.shared then publish t k e
   | None ->
-    if t.isolation = Snapshot && t.open_txns <> [] then begin
+    if t.shared then begin
       t.ts <- t.ts + 1;
-      let e = { ve_writer = -1; ve_commit_ts = t.ts; ve_before = before_img; ve_undo = ignore } in
-      (match Hashtbl.find_opt t.versions k with
-      | Some l -> l := e :: !l
-      | None -> Hashtbl.replace t.versions k (ref [ e ]));
-      Hashtbl.replace t.commit_marks k t.ts
+      publish t k { ve_writer = -1; ve_commit_ts = t.ts; ve_before = before_img; ve_undo = ignore }
     end
 
 (* ---- transaction lifecycle ---- *)
 
 let begin_txn t =
+  if t.open_txns <> [] then share t;
   let txn =
     {
       tx_id = t.next_txn_id;
@@ -408,8 +393,6 @@ let begin_txn t =
       tx_entries = [];
       tx_redo = [];
       tx_stats = [];
-      tx_reads = [];
-      tx_read_seen = None;
     }
   in
   t.next_txn_id <- t.next_txn_id + 1;
@@ -421,11 +404,11 @@ let activate t txn =
   if not txn.tx_open then raise (Tx_error "Db.activate: transaction is not open");
   t.active <- Some txn
 
-let deactivate t = t.active <- None
+let deactivate t =
+  if t.open_txns <> [] then share t;
+  t.active <- None
 
 let txn_id txn = txn.tx_id
-let txn_read_set t txn = List.rev_map (describe_vkey t) txn.tx_reads
-let txn_write_set t txn = List.rev_map (fun (k, _) -> describe_vkey t k) txn.tx_entries
 
 let close_txn t txn =
   txn.tx_open <- false;
@@ -445,70 +428,49 @@ let rollback_txn t txn =
   if not (Sim_disk.crashed t.disk) then
     Sim_disk.with_faults_suspended t.disk (fun () ->
         List.iter (fun (_, e) -> e.ve_undo ()) txn.tx_entries);
-  List.iter
-    (fun (k, _) ->
-      match Hashtbl.find_opt t.versions k with
-      | None -> ()
-      | Some l ->
-        l := List.filter (fun e -> not (e.ve_writer = txn.tx_id && e.ve_commit_ts < 0)) !l;
-        if !l = [] then Hashtbl.remove t.versions k)
-    txn.tx_entries;
+  if t.shared then
+    List.iter
+      (fun (k, _) ->
+        match Hashtbl.find_opt t.versions k with
+        | None -> ()
+        | Some l ->
+          l := List.filter (fun e -> not (e.ve_writer = txn.tx_id && e.ve_commit_ts < 0)) !l;
+          if !l = [] then Hashtbl.remove t.versions k)
+      txn.tx_entries;
   close_txn t txn
 
 let commit_txn t txn =
   if not txn.tx_open then raise (Tx_error "Db.commit_txn: transaction is not open");
-  (* First-committer-wins validation over the write set. The eager
-     claim in [claim_write] already fails most conflicts at write
-     time; this is the authoritative check at the commit point. *)
-  let clash =
-    if t.isolation <> Snapshot then None
-    else
-      List.find_opt
-        (fun (k, _) ->
-          match Hashtbl.find_opt t.commit_marks k with
-          | Some ts -> ts > txn.tx_begin_ts
-          | None -> false)
-        txn.tx_entries
-  in
-  match clash with
-  | Some (k, _) ->
-    rollback_txn t txn;
-    conflict t k "first committer wins" txn.tx_id
-  | None ->
-    (* Commit appends the transaction to the log: the durability
-       point. With a WAL the append is real page traffic an armed
-       fault plan can interrupt — in which case the transaction is
-       NOT committed and stays open for rollback. The flush itself is
-       also a decision point: a transiently failing log sync aborts
-       the commit before the append. *)
-    (match Sim_disk.fault_plan t.disk with
-    | Some plan -> Mgq_storage.Fault.on_flush plan
-    | None -> ());
-    Cost_model.record_page_flush (cost t);
-    Obs.Counter.incr m_fsyncs;
-    (match t.wal with
-    | Some w when txn.tx_redo <> [] ->
-      Obs.Trace.with_span "db.commit.wal_append"
-        ~attrs:[ ("ops", string_of_int (List.length txn.tx_redo)) ]
-        (fun () -> ignore (Wal.append_ops w (List.rev txn.tx_redo) : int))
-    | _ -> ());
-    (* Durable: stamp the write set with one commit timestamp, making
-       it visible to every later snapshot atomically. *)
-    t.ts <- t.ts + 1;
-    List.iter
-      (fun (k, e) ->
-        e.ve_commit_ts <- t.ts;
-        Hashtbl.replace t.commit_marks k t.ts)
-      txn.tx_entries;
-    (* Statistics deltas land only once the transaction is durable; a
-       failed append above leaves them buffered for rollback to drop. *)
-    (match txn.tx_stats with
-    | [] -> ()
-    | events ->
-      Obs.Trace.with_span "db.commit.catalog" (fun () ->
-          List.iter (Catalog.apply t.catalog) (List.rev events)));
-    close_txn t txn;
-    Obs.Counter.incr m_commits
+  (* Commit appends the transaction to the log: the durability point.
+     With a WAL the append is real page traffic an armed fault plan can
+     interrupt — in which case the transaction is NOT committed and
+     stays open for rollback. The flush itself is also a decision
+     point: a transiently failing log sync aborts the commit before the
+     append. *)
+  (match Sim_disk.fault_plan t.disk with
+  | Some plan -> Mgq_storage.Fault.on_flush plan
+  | None -> ());
+  Cost_model.record_page_flush (cost t);
+  Obs.Counter.incr m_fsyncs;
+  (match t.wal with
+  | Some w when txn.tx_redo <> [] ->
+    Obs.Trace.with_span "db.commit.wal_append"
+      ~attrs:[ ("ops", string_of_int (List.length txn.tx_redo)) ]
+      (fun () -> ignore (Wal.append_ops w (List.rev txn.tx_redo) : int))
+  | _ -> ());
+  (* Durable: stamp the write set with one commit timestamp, making
+     it visible to every later snapshot atomically. *)
+  t.ts <- t.ts + 1;
+  List.iter (fun (_, e) -> e.ve_commit_ts <- t.ts) txn.tx_entries;
+  (* Statistics deltas land only once the transaction is durable; a
+     failed append above leaves them buffered for rollback to drop. *)
+  (match txn.tx_stats with
+  | [] -> ()
+  | events ->
+    Obs.Trace.with_span "db.commit.catalog" (fun () ->
+        List.iter (Catalog.apply t.catalog) (List.rev events)));
+  close_txn t txn;
+  Obs.Counter.incr m_commits
 
 (* One transaction around [f], rejected while any other is open: the
    form imports, replication replay and Cypher writes use. *)
@@ -573,19 +535,16 @@ let raw_edge_exists t id =
 
 let existence = function B_absent -> false | B_present -> true | B_value _ -> false
 
-(* Outside any transaction, with no version chains live, reads need
-   neither tracking nor visibility resolution — the hot paths skip
-   the version-key and resolver-closure allocations entirely. *)
-let plain_reads t =
-  (match t.active with None -> true | Some _ -> false) && Hashtbl.length t.versions = 0
-
+(* With no version chains live, reads need no visibility resolution —
+   the hot paths skip the version-key and resolver-closure allocations
+   entirely. *)
 let node_exists t id =
-  if plain_reads t then raw_node_exists t id
-  else resolve t (K_node id) ~base:(fun () -> raw_node_exists t id) ~before:existence
+  if versioned t then resolve t (K_node id) ~base:(fun () -> raw_node_exists t id) ~before:existence
+  else raw_node_exists t id
 
 let edge_exists t id =
-  if plain_reads t then raw_edge_exists t id
-  else resolve t (K_edge id) ~base:(fun () -> raw_edge_exists t id) ~before:existence
+  if versioned t then resolve t (K_edge id) ~base:(fun () -> raw_edge_exists t id) ~before:existence
+  else raw_edge_exists t id
 
 let check_node t id = if not (node_exists t id) then raise (Node_not_found id)
 let check_edge t id = if not (edge_exists t id) then raise (Edge_not_found id)
@@ -774,21 +733,18 @@ let node_property t id key =
   match Dict.find t.key_dict key with
   | None -> Value.Null
   | Some key_id ->
-    if plain_reads t then raw_prop t ~store:t.nodes ~owner:id ~head_field:n_first_prop key_id
-    else begin
-      let k = K_nprop (id, key_id) in
-      track_read t k;
-      resolve t k
+    if versioned t then
+      resolve t (K_nprop (id, key_id))
         ~base:(fun () -> raw_prop t ~store:t.nodes ~owner:id ~head_field:n_first_prop key_id)
         ~before:prop_before
-    end
+    else raw_prop t ~store:t.nodes ~owner:id ~head_field:n_first_prop key_id
 
 (* A full property map resolves each versioned slot individually on
    top of the in-place chain. *)
 let node_properties t id =
   check_node t id;
   let props = read_prop_chain t (Record_store.get t.nodes ~id ~field:n_first_prop) in
-  if not (mvcc_read_needed t) then props
+  if not (versioned t) then props
   else
     Hashtbl.fold
       (fun k _ props ->
@@ -818,14 +774,11 @@ let edge_property t id key =
   match Dict.find t.key_dict key with
   | None -> Value.Null
   | Some key_id ->
-    if plain_reads t then raw_prop t ~store:t.rels ~owner:id ~head_field:r_first_prop key_id
-    else begin
-      let k = K_eprop (id, key_id) in
-      track_read t k;
-      resolve t k
+    if versioned t then
+      resolve t (K_eprop (id, key_id))
         ~base:(fun () -> raw_prop t ~store:t.rels ~owner:id ~head_field:r_first_prop key_id)
         ~before:prop_before
-    end
+    else raw_prop t ~store:t.rels ~owner:id ~head_field:r_first_prop key_id
 
 let raw_out_degree t id = Record_store.get t.nodes ~id ~field:n_out_degree
 let raw_in_degree t id = Record_store.get t.nodes ~id ~field:n_in_degree
@@ -1034,14 +987,14 @@ let edges_of t id ?etype dir =
     (* Chains are physical: edges inserted by concurrent uncommitted
        transactions are linked in already, so snapshot expansion
        filters them out by visibility. *)
-    if mvcc_read_needed t then Seq.filter (fun (e : edge) -> edge_exists t e.id) seq else seq
+    if versioned t then Seq.filter (fun (e : edge) -> edge_exists t e.id) seq else seq
 
 (* Same walk, same hits and page accesses in the same order as
    [edges_of], projected to the other endpoint. Visibility filtering
    needs edge ids, so while version entries exist it goes through
    [edges_of]. *)
 let neighbors t id ?etype dir =
-  if mvcc_read_needed t then Seq.map (fun e -> other_end e id) (edges_of t id ?etype dir)
+  if versioned t then Seq.map (fun e -> other_end e id) (edges_of t id ?etype dir)
   else begin
     check_node t id;
     let type_id = Option.bind etype (Dict.find t.type_dict) in
@@ -1064,11 +1017,11 @@ let neighbors t id ?etype dir =
    visibility-filtered expansion. *)
 let out_degree t id =
   check_node t id;
-  if mvcc_read_needed t then Seq.length (edges_of t id Out) else raw_out_degree t id
+  if versioned t then Seq.length (edges_of t id Out) else raw_out_degree t id
 
 let in_degree t id =
   check_node t id;
-  if mvcc_read_needed t then Seq.length (edges_of t id In) else raw_in_degree t id
+  if versioned t then Seq.length (edges_of t id In) else raw_in_degree t id
 
 let degree t id ?etype dir =
   match (etype, dir) with
@@ -1081,7 +1034,7 @@ let degree t id ?etype dir =
     check_node t id;
     match Dict.find t.type_dict name with
     | None -> 0
-    | Some type_id when is_dense t id && not (mvcc_read_needed t) -> (
+    | Some type_id when is_dense t id && not (versioned t) -> (
       (* Group records cache their chain lengths: a typed degree on a
          dense node costs the group-chain walk, not the edge chain. *)
       let count field =
@@ -1101,7 +1054,7 @@ let degree t id ?etype dir =
 
 let all_nodes t =
   let total = Record_store.count t.nodes in
-  if mvcc_read_needed t then begin
+  if versioned t then begin
     (* Visibility-resolved: covers both uncommitted creations (in use
        but invisible) and uncommitted deletions (tombstoned but still
        visible to older snapshots). *)
@@ -1135,7 +1088,7 @@ let nodes_with_label t label =
       end
     in
     let seq = from 0 in
-    if mvcc_read_needed t then Seq.filter (node_exists t) seq else seq
+    if versioned t then Seq.filter (node_exists t) seq else seq
 
 let is_dense_node t id =
   check_node t id;
@@ -1653,8 +1606,7 @@ let recover_report ?snapshot t =
   List.iter (fun txn -> txn.tx_open <- false) t.open_txns;
   t.open_txns <- [];
   t.active <- None;
-  Hashtbl.reset t.versions;
-  Hashtbl.reset t.commit_marks;
+  gc_versions t;
   if Sim_disk.crashed t.disk then Sim_disk.reopen t.disk else Sim_disk.disarm_faults t.disk;
   let base =
     match snapshot with

@@ -150,18 +150,21 @@ val property_keys : t -> string list
     MVCC-lite snapshot isolation. A transaction takes its snapshot at
     {!begin_txn}: it sees exactly the state committed by then, plus
     its own writes. Writes go to the store in place, each leaving a
-    version entry with the key's before-image on a per-key chain —
-    concurrent snapshots resolve reads through those chains, and the
-    entries double as the transaction's undo log. Version chains cost
-    nothing once no transaction is open: both MVCC tables are cleared
-    at that point, so the single-transaction fast path (imports,
-    benchmarks) reads the store directly.
+    version entry with the key's before-image in the transaction's
+    write set, which doubles as its undo log. A lone transaction keeps
+    its entries to itself and reads the store directly. Once a second
+    viewer exists ({!begin_txn} while one is open, or {!deactivate}),
+    the entries are published as per-key chains that concurrent
+    snapshots resolve reads through, until the last transaction
+    closes. With no chains, every read takes the in-place fast path
+    (imports, live ingest, benchmarks).
 
-    Conflicts are write-write: updating a key an {e uncommitted}
-    concurrent transaction already wrote fails immediately (second
-    updater loses), and commit validates the write set against
-    commits that landed after the snapshot (first committer wins).
-    Both raise the typed {!Tx_conflict}. Write
+    Conflicts are write-write and are checked once, at the write:
+    updating a key an {e uncommitted} concurrent transaction already
+    wrote fails immediately (second updater loses), and so does
+    updating a key committed after the writer's snapshot. Both raise
+    the typed {!Tx_conflict}; a claimed key can take no other commit,
+    so {!commit_txn} validates nothing. Write
     skew — disjoint write sets with crossing reads — is permitted, as
     under any snapshot isolation; the {!Mgq_consistency} audit
     harness reports it.
@@ -191,9 +194,8 @@ type conflict = {
 }
 
 exception Tx_conflict of conflict
-(** A write-write conflict under {!Snapshot} isolation. Raised eagerly
-    at the losing write, and by {!commit_txn} when first-committer-wins
-    validation fails at the commit point. *)
+(** A write-write conflict under {!Snapshot} isolation, raised at the
+    losing write before it mutates anything. *)
 
 type isolation =
   | Snapshot  (** MVCC snapshot isolation (default) *)
@@ -213,7 +215,8 @@ type txn
 
 val begin_txn : t -> txn
 (** Open a transaction with a snapshot of the currently committed
-    state, and make it the active one. *)
+    state, and make it the active one. When another transaction is
+    open, its write set is published to the version chains first. *)
 
 val activate : t -> txn -> unit
 (** Make [txn] the transaction whose snapshot subsequent reads and
@@ -222,15 +225,14 @@ val activate : t -> txn -> unit
 
 val deactivate : t -> unit
 (** No active transaction: reads see the latest committed state;
-    writes auto-commit. *)
+    writes auto-commit. Open transactions' write sets are published to
+    the version chains, so their uncommitted writes stay hidden. *)
 
 val commit_txn : t -> txn -> unit
-(** Validate (first committer wins), then append the redo record to
-    the WAL — the durability point, which an armed fault plan can
-    interrupt, leaving the transaction open — then stamp the write
-    set with a commit timestamp and apply buffered statistics deltas.
-    @raise Tx_conflict when the transaction lost validation; it has
-    been rolled back.
+(** Append the redo record to the WAL — the durability point, which
+    an armed fault plan can interrupt, leaving the transaction open —
+    then stamp the write set with a commit timestamp and apply
+    buffered statistics deltas. Conflicts were settled at each write.
     @raise Tx_error when [txn] is not open. *)
 
 val rollback_txn : t -> txn -> unit
@@ -241,18 +243,6 @@ val rollback_txn : t -> txn -> unit
 
 val txn_id : txn -> int
 
-val txn_read_set : t -> txn -> string list
-(** Property keys this transaction read (oldest first), as
-    human-readable key names. Recorded only under
-    {!set_read_tracking}. *)
-
-val txn_write_set : t -> txn -> string list
-(** Keys this transaction wrote (oldest first). *)
-
-val set_read_tracking : t -> bool -> unit
-(** Off by default: bulk loads would otherwise accumulate the whole
-    store in their read set. The audit harness switches it on. *)
-
 val open_txn_count : t -> int
 
 val in_tx : t -> bool
@@ -261,10 +251,9 @@ val in_tx : t -> bool
 val with_tx : t -> (unit -> 'a) -> 'a
 (** Run in a fresh transaction ({!begin_txn}); commits on return
     ({!commit_txn}), rolls back when the callback raises (re-raising
-    the exception).
-    @raise Tx_error when any transaction is already open.
-    @raise Tx_conflict when first-committer-wins validation fails
-    (impossible when this is the only transaction). *)
+    the exception). The transaction is the only one open, so it
+    publishes nothing and no write in it can conflict.
+    @raise Tx_error when any transaction is already open. *)
 
 (** {1 Writes}
 

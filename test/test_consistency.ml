@@ -90,19 +90,76 @@ let test_conflict_counters_and_retry () =
   Db.with_tx db (fun () -> Db.set_node_property db n "v" (Value.Int 102));
   check Alcotest.int "rerun committed" 102 (read_v db n)
 
-let test_read_write_sets () =
+(* A lone transaction publishes no version entries, so its reads of
+   degrees and adjacency take the same in-place path, at the same db
+   hits, as reads with no transaction open. *)
+let test_lone_writer_reads_in_place () =
   let db = Db.create () in
-  Db.set_read_tracking db true;
+  let hub = mk_reg db 0 in
+  let edge_to dst = ignore (Db.create_edge db ~etype:"e" ~src:hub ~dst Property.empty : int) in
+  List.iter (fun v -> edge_to (mk_reg db v)) [ 1; 2; 3; 4 ];
+  let cost = Mgq_storage.Sim_disk.cost (Db.disk db) in
+  let hits () = (Mgq_storage.Cost_model.snapshot cost).db_hits in
+  let probe () =
+    let h0 = hits () in
+    let got = (Db.out_degree db hub, Seq.length (Db.neighbors db hub Mgq_core.Types.Out)) in
+    (got, hits () - h0)
+  in
+  let inside = Db.with_tx db (fun () -> edge_to (mk_reg db 5); probe ()) in
+  check Alcotest.(pair int int) "own edge counted" (5, 5) (fst inside);
+  check Alcotest.int "same db hits as with no transaction" (snd (probe ())) (snd inside)
+
+(* A second transaction that begins while a lone writer is open sees
+   the writer's before-image, and its own write to that key loses. *)
+let test_second_viewer_publishes () =
+  let db = Db.create () in
   let n = mk_reg db 1 in
-  let t = Db.begin_txn db in
-  Db.activate db t;
-  ignore (read_v db n);
+  let t1 = Db.begin_txn db in
   Db.set_node_property db n "v" (Value.Int 2);
-  let reads = Db.txn_read_set db t and writes = Db.txn_write_set db t in
-  check Alcotest.bool "read set nonempty" true (reads <> []);
-  check Alcotest.bool "write set nonempty" true (writes <> []);
-  Db.rollback_txn db t;
-  check Alcotest.int "rollback restored" 1 (read_v db n)
+  let t2 = Db.begin_txn db in
+  check Alcotest.int "t2 sees the before-image" 1 (read_v db n);
+  (match Db.set_node_property db n "v" (Value.Int 3) with
+  | () -> Alcotest.fail "expected Tx_conflict"
+  | exception Db.Tx_conflict c ->
+    check Alcotest.int "t2 loses" (Db.txn_id t2) c.Db.c_txn);
+  Db.rollback_txn db t2;
+  Db.activate db t1;
+  check Alcotest.int "t1 sees its write" 2 (read_v db n);
+  Db.commit_txn db t1;
+  check Alcotest.int "committed" 2 (read_v db n);
+  (* [deactivate] is a second viewer too: the latest committed state. *)
+  let t3 = Db.begin_txn db in
+  Db.set_node_property db n "v" (Value.Int 4);
+  Db.deactivate db;
+  check Alcotest.int "outside reader sees the commit" 2 (read_v db n);
+  Db.rollback_txn db t3;
+  check Alcotest.int "no open txns" 0 (Db.open_txn_count db)
+
+(* The conflict check reads the head of the key's chain: a commit
+   newer than the writer's snapshot (here an auto-commit write) makes
+   the write fail, one at or before the snapshot does not. *)
+let test_stale_write_fails_at_chain_head () =
+  let db = Db.create () in
+  let n1 = mk_reg db 1 and n2 = mk_reg db 1 in
+  let pin = Db.begin_txn db in
+  let early = Db.begin_txn db in
+  Db.set_node_property db n2 "v" (Value.Int 7);
+  Db.commit_txn db early;
+  let late = Db.begin_txn db in
+  Db.deactivate db;
+  Db.set_node_property db n1 "v" (Value.Int 9);
+  Db.activate db late;
+  Db.set_node_property db n2 "v" (Value.Int 8);
+  (match Db.set_node_property db n1 "v" (Value.Int 10) with
+  | () -> Alcotest.fail "expected Tx_conflict"
+  | exception Db.Tx_conflict c ->
+    check Alcotest.int "the stale writer loses" (Db.txn_id late) c.Db.c_txn;
+    check Alcotest.string "reason" "overwritten by a commit after this snapshot" c.Db.c_reason);
+  Db.activate db pin;
+  check Alcotest.(pair int int) "the pinned snapshot" (1, 1) (read_v db n1, read_v db n2);
+  Db.rollback_txn db late;
+  Db.rollback_txn db pin;
+  check Alcotest.(pair int int) "latest committed" (9, 7) (read_v db n1, read_v db n2)
 
 (* ---------------- scheduler determinism ---------------- *)
 
@@ -318,7 +375,10 @@ let () =
           Alcotest.test_case "first committer wins" `Quick test_first_committer_wins;
           Alcotest.test_case "conflict counters and retry" `Quick
             test_conflict_counters_and_retry;
-          Alcotest.test_case "read/write sets" `Quick test_read_write_sets;
+          Alcotest.test_case "lone writer reads in place" `Quick test_lone_writer_reads_in_place;
+          Alcotest.test_case "second viewer publishes" `Quick test_second_viewer_publishes;
+          Alcotest.test_case "stale write fails at chain head" `Quick
+            test_stale_write_fails_at_chain_head;
         ] );
       ( "scheduler",
         [ Alcotest.test_case "seeded determinism" `Quick test_determinism ] );

@@ -4,12 +4,14 @@
     python3 tools/check_bench.py [FILE ...]
 
 With no arguments, checks every BENCH_*.json that git tracks at the
-repository root. An entry must record the core count (`nproc`), the
-number of pairs (`pairs`), the seed range (`seeds`, first and last),
-and for every workload and metric the parent's and the change's
-median. Prints one line per problem and exits 1 if there is any;
+repository root, or, outside a git checkout (an exported tree), every
+BENCH_*.json in the current directory. An entry must record the core
+count (`nproc`), the number of pairs (`pairs`), the seed range
+(`seeds`, first and last), and for every workload and metric the
+parent's and the change's median. Prints one line per problem and exits 1 if there is any;
 stdlib only. Run from the repository root.
 """
+import glob
 import json
 import numbers
 import subprocess
@@ -51,11 +53,17 @@ def problems(path):
     return found
 
 
+def ledger_paths():
+    try:
+        tracked = subprocess.run(["git", "ls-files", "BENCH_*.json"], check=True,
+                                 capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return sorted(glob.glob("BENCH_*.json"))
+    return [p for p in tracked.split("\n") if p]
+
+
 def main():
-    paths = sys.argv[1:] or [
-        p for p in subprocess.run(["git", "ls-files", "BENCH_*.json"], check=True,
-                                  capture_output=True, text=True).stdout.split("\n") if p
-    ]
+    paths = sys.argv[1:] or ledger_paths()
     if not paths:
         sys.exit("no BENCH_*.json entries")
     bad = 0
