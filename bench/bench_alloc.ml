@@ -3,7 +3,8 @@
    decoding and the endpoint-only chain walk of [Db.neighbors], which
    yields endpoint ints without building edge records. The oracle
    asserts (when the committed baseline exists) that the current build
-   has not regressed past 1.5x the baseline. *)
+   has not regressed past 1.5x the baseline. A second arm runs each
+   query through Cypher against the same query through the core API. *)
 
 open Bench_support
 
@@ -86,6 +87,85 @@ let read_baseline () =
         in
         find ())
 
+(* Minor and promoted words, and wall nanoseconds, per run of [f]. *)
+let per_run ~runs f =
+  let minor0, promoted0, _ = Gc.counters () in
+  let t0 = Stats.Timing.now_ns () in
+  for _ = 1 to runs do
+    ignore (f ())
+  done;
+  let ns = Int64.to_float (Int64.sub (Stats.Timing.now_ns ()) t0) in
+  let minor1, promoted1, _ = Gc.counters () in
+  let per x = x /. float_of_int runs in
+  (per ns, per (minor1 -. minor0), per (promoted1 -. promoted0))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let cypher_rounds = 5
+
+(* Cypher against the core API, per Table-2 query: ROADMAP item 7's
+   1.2x. Each round times [runs] API runs and [runs] Cypher runs, the
+   order alternating between rounds; a row holds the medians over the
+   rounds. Wall time is host-noisy, so the arm reports and asserts
+   nothing. *)
+let run_cypher_arm neo args_for =
+  section "A1'': Cypher against the core API, per query";
+  let runs = if !smoke then 3 else 20 in
+  let rows =
+    List.map
+      (fun (q : Workload.query) ->
+        let args = args_for q in
+        let api () = q.Workload.run_neo_api neo args in
+        let cypher () = q.Workload.run_cypher neo args in
+        ignore (api ());
+        ignore (cypher ());
+        let rounds =
+          List.init cypher_rounds (fun round ->
+              let (api_ns, api_minor, _), (cy_ns, cy_minor, cy_promoted) =
+                if round mod 2 = 0 then
+                  let a = per_run ~runs api in
+                  (a, per_run ~runs cypher)
+                else
+                  let c = per_run ~runs cypher in
+                  (per_run ~runs api, c)
+              in
+              (api_minor, cy_minor, cy_promoted, cy_ns /. api_ns))
+        in
+        let med f = median (List.map f rounds) in
+        ( q.Workload.id,
+          med (fun (m, _, _, _) -> m),
+          med (fun (_, m, _, _) -> m),
+          med (fun (_, _, p, _) -> p),
+          med (fun (_, _, _, r) -> r) ))
+      Workload.all
+  in
+  let cells (id, api_minor, minor, promoted, ratio) =
+    [
+      id;
+      Printf.sprintf "%.0f" api_minor;
+      Printf.sprintf "%.0f" minor;
+      Printf.sprintf "%.0f" promoted;
+      Printf.sprintf "%.2f" ratio;
+    ]
+  in
+  let header =
+    [ "query"; "api_minor_words"; "cypher_minor_words"; "cypher_promoted_words"; "cypher_over_api_wall" ]
+  in
+  Text_table.print
+    ~aligns:[ Text_table.Left; Right; Right; Right; Right ]
+    ~header (List.map cells rows);
+  let oc = open_out "alloc_cypher.csv" in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (String.concat "," header ^ "\n");
+      List.iter (fun row -> output_string oc (String.concat "," (cells row) ^ "\n")) rows);
+  Printf.printf "(csv written: alloc_cypher.csv; medians of %d rounds of %d runs)\n" cypher_rounds
+    runs
+
 let run_alloc () =
   section "A1': minor-heap words per db hit (record chains)";
   let scale = alloc_users () in
@@ -133,7 +213,7 @@ let run_alloc () =
         mix;
       Printf.fprintf oc "total,%d,%.1f,%.1f\n" hits words wph);
   Printf.printf "(csv written: alloc_current.csv)\n";
-  match read_baseline () with
+  (match read_baseline () with
   | None ->
     Printf.printf "note: no committed baseline at %s; regression check skipped\n"
       baseline_path
@@ -141,4 +221,5 @@ let run_alloc () =
     if wph > base_wph *. 1.5 then
       record_failure "alloc: %.1f words/hit regressed past 1.5x baseline %.1f" wph base_wph
     else
-      Printf.printf "oracle ok: %.1f words/hit within 1.5x of baseline %.1f\n" wph base_wph
+      Printf.printf "oracle ok: %.1f words/hit within 1.5x of baseline %.1f\n" wph base_wph);
+  run_cypher_arm neo args_for

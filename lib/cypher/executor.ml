@@ -77,21 +77,6 @@ let set (row : row) i item =
   row.(i) <- item;
   row
 
-(* [List.of_seq (Seq.map f s)] and [List.of_seq (Seq.filter_map f s)]
-   without the intermediate sequence. *)
-let[@tail_mod_cons] rec map_seq f s =
-  match s () with Seq.Nil -> [] | Seq.Cons (x, next) -> f x :: map_seq f next
-
-let[@tail_mod_cons] rec filter_map_seq f s =
-  match s () with
-  | Seq.Nil -> []
-  | Seq.Cons (x, next) -> (
-    match f x with Some y -> y :: filter_map_seq f next | None -> filter_map_seq f next)
-
-(* Most operators see the single starting row: skip the copy
-   [List.concat_map] makes of each per-row list. *)
-let flat_map f = function [ row ] -> f row | rows -> List.concat_map f rows
-
 let exec_error m = Exec_error m
 
 let compile_test cs pat =
@@ -346,40 +331,70 @@ let create_path env acc row (start, steps) =
 
 (* ---------------- operators ---------------- *)
 
-type apply = env -> update_acc -> row list -> row list
+(* An operator reads its input through a producer: [input k] calls [k]
+   on each input row, in order, once. A materialised row list and the
+   label scan feed it the same way. *)
+type producer = (row -> unit) -> unit
+
+(* The label scan alone streams: reading a scan-store entry is one db
+   hit and no page, so running it inside its consumer moves no page
+   access (DESIGN §3). Every other operator materialises its output. *)
+type apply =
+  | Eager of (env -> update_acc -> producer -> row list)
+  | Lazy of (env -> producer -> producer)
+
+(* The rows [body] passes to its [emit], in order. *)
+let gather body =
+  let acc = ref [] in
+  body (fun row -> acc := row :: !acc);
+  List.rev !acc
+
+(* Between operators: a materialised list or the label scan's stream. *)
+type flow = Rows of row list | Stream of producer
+
+let feed = function Rows rows -> fun k -> List.iter k rows | Stream p -> p
+let rows_of = function Rows rows -> rows | Stream p -> gather p
+
+let step_flow env acc flow = function
+  | Eager f -> Rows (f env acc (feed flow))
+  | Lazy f -> Stream (f env (feed flow))
 
 let rec compile_op cs (op : Plan.op) : apply =
   match op with
   | Plan.Node_index_seek { var; label; key; value } ->
     let value = compile_scalar cs ~error:"index seek value must be a scalar" value in
     let i = bind cs var in
-    fun env _ ->
-      flat_map (fun row ->
-          List.map
-            (fun n -> set row i (Inode n))
-            (Db.index_lookup env.db ~label ~property:key (value env row)))
+    Eager
+      (fun env _ input ->
+        gather (fun emit ->
+            input (fun row ->
+                List.iter
+                  (fun n -> emit (set row i (Inode n)))
+                  (Db.index_lookup env.db ~label ~property:key (value env row)))))
   | Plan.Node_label_scan { var; label } ->
     let i = bind cs var in
-    fun env _ ->
-      flat_map (fun row -> map_seq (fun n -> set row i (Inode n)) (Db.nodes_with_label env.db label))
+    Lazy
+      (fun env input k ->
+        input (fun row -> Seq.iter (fun n -> k (set row i (Inode n))) (Db.nodes_with_label env.db label)))
   | Plan.All_nodes_scan { var } ->
     let i = bind cs var in
-    fun env _ ->
-      flat_map (fun row -> map_seq (fun n -> set row i (Inode n)) (Db.all_nodes env.db))
+    Eager
+      (fun env _ input ->
+        gather (fun emit ->
+            input (fun row -> Seq.iter (fun n -> emit (set row i (Inode n))) (Db.all_nodes env.db))))
   | Plan.Expand { src; rel_var; types; dir; dst; dst_new; uniq } ->
     let src = node_opt_of cs src in
     let u = slot cs.layout uniq in
     let target = target_of cs ~dst ~dst_new in
     let rel_slot = Option.map (bind cs) rel_var in
-    let expand env (row : row) =
+    let expand env emit (row : row) =
       match src row with
-      | None -> []
+      | None -> ()
       | Some src_node ->
         let used = used_of row u in
-        filter_map_seq
+        Seq.iter
           (fun e ->
-            if mem_used e.id used then None
-            else begin
+            if not (mem_used e.id used) then begin
               let far = step_target e src_node dir in
               let keep =
                 match target with
@@ -392,22 +407,20 @@ let rec compile_op cs (op : Plan.op) : apply =
                 out.(u) <- Ilist (Iedge e.id :: used);
                 Option.iter (fun i -> out.(i) <- Iedge e.id) rel_slot;
                 (match target with New i -> out.(i) <- Inode far | _ -> ());
-                Some out
+                emit out
               end
-              else None
             end)
           (edges_seq env.db src_node types dir)
     in
-    fun env _ -> flat_map (expand env)
+    Eager (fun env _ input -> gather (fun emit -> input (expand env emit)))
   | Plan.Var_expand { src; types; dir; rmin; rmax; dst; dst_new; uniq } ->
     let src = node_opt_of cs src in
     let u = slot cs.layout uniq in
     let target = target_of cs ~dst ~dst_new in
-    let expand env (row : row) =
+    let expand env emit (row : row) =
       match src row with
-      | None -> []
+      | None -> ()
       | Some src_node ->
-        let out = ref [] in
         var_length_paths env.db ~src_node ~types ~dir ~rmin ~rmax ~used0:(used_of row u)
           (fun end_node used ->
             let with_used () =
@@ -419,62 +432,55 @@ let rec compile_op cs (op : Plan.op) : apply =
             | New i ->
               let r = with_used () in
               r.(i) <- Inode end_node;
-              out := r :: !out
+              emit r
             | Into i -> (
-              match row.(i) with Inode n when n = end_node -> out := with_used () :: !out | _ -> ())
-            | Into_unbound -> raise (Exec_error "var-expand into an unbound variable"));
-        List.rev !out
+              match row.(i) with Inode n when n = end_node -> emit (with_used ()) | _ -> ())
+            | Into_unbound -> raise (Exec_error "var-expand into an unbound variable"))
     in
-    fun env _ -> flat_map (expand env)
+    Eager (fun env _ input -> gather (fun emit -> input (expand env emit)))
   | Plan.Shortest_path { pvar; src; dst; types; dir; rmax } ->
     let src = node_opt_of cs src in
     let dst = node_opt_of cs dst in
     let path_slot = Option.map (bind cs) pvar in
-    fun env _ rows ->
-      let etype =
-        match types with
-        | [] -> None
-        | [ t ] -> Some t
-        | _ -> raise (Exec_error "shortestPath supports at most one relationship type")
-      in
-      List.filter_map
-        (fun row ->
-          let a = src row in
-          let b = dst row in
-          match (a, b) with
-          | None, _ | _, None -> None
-          | Some a, Some b -> (
-            match
-              Algo.shortest_path ?etype ~direction:dir env.db ~src:a ~dst:b ~max_hops:rmax
-            with
-            | None -> None
-            | Some nodes -> (
-              match path_slot with Some i -> Some (set row i (Ipath nodes)) | None -> Some row)))
-        rows
+    Eager
+      (fun env _ input ->
+        let etype =
+          match types with
+          | [] -> None
+          | [ t ] -> Some t
+          | _ -> raise (Exec_error "shortestPath supports at most one relationship type")
+        in
+        gather (fun emit ->
+            input (fun row ->
+                match (src row, dst row) with
+                | None, _ | _, None -> ()
+                | Some a, Some b -> (
+                  match
+                    Algo.shortest_path ?etype ~direction:dir env.db ~src:a ~dst:b ~max_hops:rmax
+                  with
+                  | None -> ()
+                  | Some nodes -> (
+                    match path_slot with Some i -> emit (set row i (Ipath nodes)) | None -> emit row)))))
   | Plan.Node_check { var; pat } ->
     let node = node_of cs var in
     let test = compile_test cs pat in
-    fun env _ rows ->
-      List.filter
-        (fun row ->
-          let n = node row in
-          test env row n)
-        rows
+    Eager
+      (fun env _ input -> gather (fun emit -> input (fun row -> if test env row (node row) then emit row)))
   | Plan.Filter expr ->
     let pred = compile_pred cs.layout cs.bound expr in
-    fun env _ rows -> List.filter (fun row -> pred env row) rows
+    Eager (fun env _ input -> gather (fun emit -> input (fun row -> if pred env row then emit row)))
   | Plan.Project items ->
     let items = List.map (fun (expr, alias) -> (compile_expr cs.layout cs.bound expr, alias)) items in
     cs.bound <- Sset.empty;
     let items = List.map (fun (f, alias) -> (f, bind cs alias)) items in
     let layout = cs.layout in
-    fun env _ rows ->
-      List.map
-        (fun row ->
-          let out = empty_row layout in
-          List.iter (fun (f, i) -> out.(i) <- f env row) items;
-          out)
-        rows
+    Eager
+      (fun env _ input ->
+        gather (fun emit ->
+            input (fun row ->
+                let out = empty_row layout in
+                List.iter (fun (f, i) -> out.(i) <- f env row) items;
+                emit out)))
   | Plan.Aggregate { groups; aggs } ->
     let groups = List.map (fun (expr, alias) -> (compile_expr cs.layout cs.bound expr, alias)) groups in
     let aggs =
@@ -487,35 +493,34 @@ let rec compile_op cs (op : Plan.op) : apply =
     let agg_slots = List.map (fun (_, _, alias) -> bind cs alias) aggs in
     let layout = cs.layout in
     let fresh_states () = List.map (fun (kind, _, _) -> make_agg_state kind) aggs in
-    fun env _ rows ->
-      let grouped = Key_tbl.create 64 in
-      List.iter
-        (fun row ->
-          let key = List.map (fun (f, _) -> f env row) groups in
-          let states =
-            match Key_tbl.find_opt grouped key with
-            | Some states -> states
-            | None ->
-              let states = fresh_states () in
-              Key_tbl.add grouped key states;
-              states
-          in
-          List.iter2
-            (fun state (_, arg, _) ->
-              match arg with
-              | None -> state.update None
-              | Some f -> state.update (Some (f env row)))
-            states aggs)
-        rows;
-      (* Global aggregation over zero rows still yields one row. *)
-      if Key_tbl.length grouped = 0 && groups = [] then Key_tbl.add grouped [] (fresh_states ());
-      Key_tbl.fold (fun key states acc -> (key, states) :: acc) grouped []
-      |> List.sort (fun (a, _) (b, _) -> key_compare a b)
-      |> List.map (fun (key, states) ->
-             let out = empty_row layout in
-             List.iter2 (fun i item -> out.(i) <- item) group_slots key;
-             List.iter2 (fun i state -> out.(i) <- state.finish ()) agg_slots states;
-             out)
+    Eager
+      (fun env _ input ->
+        let grouped = Key_tbl.create 64 in
+        input (fun row ->
+            let key = List.map (fun (f, _) -> f env row) groups in
+            let states =
+              match Key_tbl.find_opt grouped key with
+              | Some states -> states
+              | None ->
+                let states = fresh_states () in
+                Key_tbl.add grouped key states;
+                states
+            in
+            List.iter2
+              (fun state (_, arg, _) ->
+                match arg with
+                | None -> state.update None
+                | Some f -> state.update (Some (f env row)))
+              states aggs);
+        (* Global aggregation over zero rows still yields one row. *)
+        if Key_tbl.length grouped = 0 && groups = [] then Key_tbl.add grouped [] (fresh_states ());
+        Key_tbl.fold (fun key states acc -> (key, states) :: acc) grouped []
+        |> List.sort (fun (a, _) (b, _) -> key_compare a b)
+        |> List.map (fun (key, states) ->
+               let out = empty_row layout in
+               List.iter2 (fun i item -> out.(i) <- item) group_slots key;
+               List.iter2 (fun i state -> out.(i) <- state.finish ()) agg_slots states;
+               out))
   | Plan.Distinct ->
     let columns = List.map (fun v -> (v, slot cs.layout v)) (Sset.elements cs.bound) in
     let rec canonical_item = function
@@ -525,58 +530,71 @@ let rec compile_op cs (op : Plan.op) : apply =
       | Ipath p -> "p" ^ String.concat "," (List.map string_of_int p)
       | Ilist items -> "[" ^ String.concat ";" (List.map canonical_item items) ^ "]"
     in
-    fun _ _ rows ->
-      let seen = Hashtbl.create 64 in
-      List.filter
-        (fun row ->
-          let canonical =
-            String.concat "|"
-              (List.map (fun (k, i) -> k ^ "=" ^ canonical_item row.(i)) columns)
-          in
-          if Hashtbl.mem seen canonical then false
-          else begin
-            Hashtbl.replace seen canonical ();
-            true
-          end)
-        rows
+    Eager
+      (fun _ _ input ->
+        let seen = Hashtbl.create 64 in
+        gather (fun emit ->
+            input (fun row ->
+                let canonical =
+                  String.concat "|"
+                    (List.map (fun (k, i) -> k ^ "=" ^ canonical_item row.(i)) columns)
+                in
+                if not (Hashtbl.mem seen canonical) then begin
+                  Hashtbl.replace seen canonical ();
+                  emit row
+                end)))
   | Plan.Sort order_items ->
     let keys =
       List.map (fun (expr, dir) -> (compile_expr cs.layout cs.bound expr, dir)) order_items
     in
-    fun env _ rows ->
-      let decorated = List.map (fun row -> (List.map (fun (f, _) -> f env row) keys, row)) rows in
-      let compare_keys (ka, _) (kb, _) =
-        let rec go ks_a ks_b dirs =
-          match (ks_a, ks_b, dirs) with
-          | [], [], _ -> 0
-          | a :: ra, b :: rb, (_, dir) :: rd ->
-            let c = item_compare a b in
-            let c = match dir with `Asc -> c | `Desc -> -c in
-            if c <> 0 then c else go ra rb rd
-          | _ -> 0
+    Eager
+      (fun env _ input ->
+        let decorated =
+          gather (fun emit -> input (fun row -> emit (List.map (fun (f, _) -> f env row) keys, row)))
         in
-        go ka kb keys
-      in
-      List.map snd (List.stable_sort compare_keys decorated)
+        let compare_keys (ka, _) (kb, _) =
+          let rec go ks_a ks_b dirs =
+            match (ks_a, ks_b, dirs) with
+            | [], [], _ -> 0
+            | a :: ra, b :: rb, (_, dir) :: rd ->
+              let c = item_compare a b in
+              let c = match dir with `Asc -> c | `Desc -> -c in
+              if c <> 0 then c else go ra rb rd
+            | _ -> 0
+          in
+          go ka kb keys
+        in
+        List.map snd (List.stable_sort compare_keys decorated))
   | Plan.Skip_op expr ->
     let n = compile_int cs expr "SKIP" in
-    fun env _ rows ->
-      let n = n env in
-      if n <= 0 then rows else List.filteri (fun i _ -> i >= n) rows
+    Eager
+      (fun env _ input ->
+        let n = n env and seen = ref 0 in
+        gather (fun emit ->
+            input (fun row ->
+                if !seen >= n then emit row;
+                incr seen)))
   | Plan.Limit_op expr ->
     let n = compile_int cs expr "LIMIT" in
-    fun env _ rows ->
-      let n = n env in
-      List.filteri (fun i _ -> i < n) rows
+    Eager
+      (fun env _ input ->
+        let n = n env and seen = ref 0 in
+        gather (fun emit ->
+            input (fun row ->
+                if !seen < n then emit row;
+                incr seen)))
+  (* Writers read their whole input before their first write, so a
+     streamed label scan never sees the statement's own changes. *)
   | Plan.Create_op paths ->
     let paths = List.map (compile_create_path cs) paths in
-    fun env acc rows ->
-      List.map
-        (fun row ->
-          let row = copy_row row in
-          List.iter (create_path env acc row) paths;
-          row)
-        rows
+    Eager
+      (fun env acc input ->
+        List.map
+          (fun row ->
+            let row = copy_row row in
+            List.iter (create_path env acc row) paths;
+            row)
+          (gather input))
   | Plan.Set_op items ->
     let items =
       List.map
@@ -586,108 +604,113 @@ let rec compile_op cs (op : Plan.op) : apply =
           | Ast.Remove_property (v, k) -> (v, item_of cs v, k, None))
         items
     in
-    fun env acc rows ->
-      List.iter
-        (fun row ->
-          List.iter
-            (fun (var, target, key, value) ->
-              let value = match value with Some f -> f env row | None -> Value.Null in
-              (match target row with
-              | Inode n -> Db.set_node_property env.db n key value
-              | Iedge e -> Db.set_edge_property env.db e key value
-              | _ -> raise (Exec_error (Printf.sprintf "SET on non-entity %s" var)));
-              acc.u_properties_set <- acc.u_properties_set + 1)
-            items)
-        rows;
-      rows
+    Eager
+      (fun env acc input ->
+        let rows = gather input in
+        List.iter
+          (fun row ->
+            List.iter
+              (fun (var, target, key, value) ->
+                let value = match value with Some f -> f env row | None -> Value.Null in
+                (match target row with
+                | Inode n -> Db.set_node_property env.db n key value
+                | Iedge e -> Db.set_edge_property env.db e key value
+                | _ -> raise (Exec_error (Printf.sprintf "SET on non-entity %s" var)));
+                acc.u_properties_set <- acc.u_properties_set + 1)
+              items)
+          rows;
+        rows)
   | Plan.Unwind_op (expr, var) ->
     let f = compile_expr cs.layout cs.bound expr in
     let i = bind cs var in
-    fun env _ rows ->
-      List.concat_map
-        (fun row ->
-          match f env row with
-          | Ilist items -> List.map (fun item -> set row i item) items
-          | Ival Value.Null -> []
-          | scalar -> [ set row i scalar ])
-        rows
+    Eager
+      (fun env _ input ->
+        gather (fun emit ->
+            input (fun row ->
+                match f env row with
+                | Ilist items -> List.iter (fun item -> emit (set row i item)) items
+                | Ival Value.Null -> ()
+                | scalar -> emit (set row i scalar))))
   | Plan.Merge_op pat ->
     let test = compile_test cs pat in
     let props = compile_props cs pat.Ast.nprops in
     let var_slot = Option.map (bind cs) pat.Ast.nvar in
-    fun env acc rows ->
-      List.concat_map
-        (fun row ->
-          let label = Option.get pat.Ast.nlabel in
-          let matches =
-            List.of_seq (Seq.filter (test env row) (Db.nodes_with_label env.db label))
-          in
-          let nodes =
-            match matches with
-            | [] ->
-              let node = Db.create_node env.db ~label (eval_props env row props) in
-              acc.u_nodes_created <- acc.u_nodes_created + 1;
-              acc.u_properties_set <- acc.u_properties_set + List.length props;
-              [ node ]
-            | _ -> matches
-          in
-          match var_slot with
-          | Some i -> List.map (fun n -> set row i (Inode n)) nodes
-          | None -> [ row ])
-        rows
+    Eager
+      (fun env acc input ->
+        List.concat_map
+          (fun row ->
+            let label = Option.get pat.Ast.nlabel in
+            let matches =
+              List.of_seq (Seq.filter (test env row) (Db.nodes_with_label env.db label))
+            in
+            let nodes =
+              match matches with
+              | [] ->
+                let node = Db.create_node env.db ~label (eval_props env row props) in
+                acc.u_nodes_created <- acc.u_nodes_created + 1;
+                acc.u_properties_set <- acc.u_properties_set + List.length props;
+                [ node ]
+              | _ -> matches
+            in
+            match var_slot with
+            | Some i -> List.map (fun n -> set row i (Inode n)) nodes
+            | None -> [ row ])
+          (gather input))
   | Plan.Optional_op { ops; new_vars } ->
     let sub = List.map (compile_op cs) ops in
     let null_slots = List.map (slot cs.layout) new_vars in
-    fun env acc rows ->
-      List.concat_map
-        (fun row ->
-          match List.fold_left (fun rs apply -> apply env acc rs) [ row ] sub with
-          | [] ->
-            let row = copy_row row in
-            List.iter (fun i -> row.(i) <- v_null) null_slots;
-            [ row ]
-          | rows -> rows)
-        rows
+    Eager
+      (fun env acc input ->
+        gather (fun emit ->
+            input (fun row ->
+                match rows_of (List.fold_left (step_flow env acc) (Rows [ row ]) sub) with
+                | [] ->
+                  let row = copy_row row in
+                  List.iter (fun i -> row.(i) <- v_null) null_slots;
+                  emit row
+                | rows -> List.iter emit rows)))
   | Plan.Delete_op { detach; vars } ->
     let vars = List.map (fun v -> (v, item_of cs v)) vars in
     (* Rows may mention the same entity several times; deletes are
        idempotent within the statement. *)
-    fun env acc rows ->
-      let db = env.db in
-      List.iter
-        (fun row ->
-          List.iter
-            (fun (var, item) ->
-              match item row with
-              | Iedge e ->
-                if Db.edge_exists db e then begin
-                  Db.delete_edge db e;
-                  acc.u_edges_deleted <- acc.u_edges_deleted + 1
-                end
-              | Inode n ->
-                if Db.node_exists db n then begin
-                  if detach then
-                    List.iter
-                      (fun (edge : Mgq_core.Types.edge) ->
-                        if Db.edge_exists db edge.id then begin
-                          Db.delete_edge db edge.id;
-                          acc.u_edges_deleted <- acc.u_edges_deleted + 1
-                        end)
-                      (List.of_seq (Db.edges_of db n Both));
-                  (try Db.delete_node db n
-                   with Failure _ ->
-                     raise
-                       (Exec_error
-                          (Printf.sprintf
-                             "cannot delete node %s: it still has relationships (use DETACH \
-                              DELETE)"
-                             var)));
-                  acc.u_nodes_deleted <- acc.u_nodes_deleted + 1
-                end
-              | _ -> raise (Exec_error (Printf.sprintf "DELETE of non-entity %s" var)))
-            vars)
-        rows;
-      rows
+    Eager
+      (fun env acc input ->
+        let db = env.db in
+        let rows = gather input in
+        List.iter
+          (fun row ->
+            List.iter
+              (fun (var, item) ->
+                match item row with
+                | Iedge e ->
+                  if Db.edge_exists db e then begin
+                    Db.delete_edge db e;
+                    acc.u_edges_deleted <- acc.u_edges_deleted + 1
+                  end
+                | Inode n ->
+                  if Db.node_exists db n then begin
+                    if detach then
+                      List.iter
+                        (fun (edge : Mgq_core.Types.edge) ->
+                          if Db.edge_exists db edge.id then begin
+                            Db.delete_edge db edge.id;
+                            acc.u_edges_deleted <- acc.u_edges_deleted + 1
+                          end)
+                        (List.of_seq (Db.edges_of db n Both));
+                    (try Db.delete_node db n
+                     with Failure _ ->
+                       raise
+                         (Exec_error
+                            (Printf.sprintf
+                               "cannot delete node %s: it still has relationships (use DETACH \
+                                DELETE)"
+                               var)));
+                    acc.u_nodes_deleted <- acc.u_nodes_deleted + 1
+                  end
+                | _ -> raise (Exec_error (Printf.sprintf "DELETE of non-entity %s" var)))
+              vars)
+          rows;
+        rows)
 
 (* ---------------- compiled plans ---------------- *)
 
@@ -723,15 +746,75 @@ let compile (plan : Plan.t) =
 
 (* ---------------- driver ---------------- *)
 
+(* One operator's share of an instrumented run. *)
+type tally = { step : step; mutable t_rows : int; mutable t_hits : int }
+
+(* Profiling and tracing attribute every db hit to one operator. A
+   materialising operator is bracketed whole, less what the stream it
+   reads charges meanwhile. A stream runs inside its consumer, its span
+   nested in the consumer's: it counts its rows and brackets each call
+   into the consumer, so the hits it charges outside those calls are
+   its own plus those of any stream it reads in turn. The per-operator
+   totals are the ones a materialised scan would show; only the order
+   of the hits changes. *)
+let run_instrumented hits env acc steps first =
+  let tallies = ref [] in
+  (* [outside]: hits the stream feeding the next operator has charged
+     outside its consumer's calls, its own input's included. *)
+  let rec go flow outside = function
+    | [] -> rows_of flow
+    | step :: rest -> (
+      let tally = { step; t_rows = 0; t_hits = 0 } in
+      tallies := tally :: !tallies;
+      let note () =
+        Obs.Trace.note_int "db_hits" tally.t_hits;
+        Obs.Trace.note_int "rows" tally.t_rows
+      in
+      match step.apply with
+      | Eager f ->
+        let before = hits () in
+        let rows =
+          Obs.Trace.with_span step.span @@ fun () ->
+          let rows = f env acc (feed flow) in
+          tally.t_hits <- hits () - before - !outside;
+          tally.t_rows <- List.length rows;
+          note ();
+          rows
+        in
+        go (Rows rows) (ref 0) rest
+      | Lazy f ->
+        let stream = f env (feed flow) in
+        let mine = ref 0 in
+        let counted k =
+          Obs.Trace.with_span step.span @@ fun () ->
+          let start = hits () and inside = ref 0 in
+          stream (fun row ->
+              tally.t_rows <- tally.t_rows + 1;
+              let h = hits () in
+              k row;
+              inside := !inside + (hits () - h));
+          mine := !mine + (hits () - start - !inside);
+          tally.t_hits <- !mine - !outside;
+          note ()
+        in
+        go (Stream counted) mine rest)
+  in
+  let rows = go (Rows [ first ]) (ref 0) steps in
+  let entries =
+    List.rev_map
+      (fun t ->
+        { name = t.step.op_name; detail = t.step.op_detail; rows = t.t_rows; db_hits = t.t_hits })
+      !tallies
+  in
+  (rows, entries)
+
 let run ?budget db ~params ~profile (prog : compiled) =
   let cost = Sim_disk.cost (Db.disk db) in
   Cost_model.with_budget cost budget @@ fun () ->
   Obs.Trace.with_span "cypher.execute" @@ fun () ->
-  let hits () = (Cost_model.snapshot cost).db_hits in
+  let hits () = Cost_model.db_hits cost in
   let run_hits_before = hits () in
   let env = Runtime.env db prog.params params in
-  let rows = ref [ empty_row prog.layout ] in
-  let entries = ref [] in
   let acc =
     {
       u_nodes_created = 0;
@@ -741,43 +824,24 @@ let run ?budget db ~params ~profile (prog : compiled) =
       u_edges_deleted = 0;
     }
   in
-  (* When profiling or tracing, bracket each operator with a db-hit
-     snapshot; whole-run delta equals the sum of the per-operator
-     deltas because the operators are the only hit source in between. *)
-  let instrument = profile || Obs.Trace.enabled () in
-  List.iter
-    (fun step ->
-      if instrument then begin
-        let before = hits () in
-        let out =
-          Obs.Trace.with_span step.span @@ fun () ->
-          let out = step.apply env acc !rows in
-          Obs.Trace.note_int "db_hits" (hits () - before);
-          Obs.Trace.note_int "rows" (List.length out);
-          out
-        in
-        if profile then
-          entries :=
-            {
-              name = step.op_name;
-              detail = step.op_detail;
-              rows = List.length out;
-              db_hits = hits () - before;
-            }
-            :: !entries;
-        rows := out
-      end
-      else rows := step.apply env acc !rows)
-    prog.steps;
+  let first = empty_row prog.layout in
+  let rows, entries =
+    if profile || Obs.Trace.enabled () then run_instrumented hits env acc prog.steps first
+    else
+      ( rows_of
+          (List.fold_left (fun flow step -> step_flow env acc flow step.apply) (Rows [ first ]) prog.steps),
+        [] )
+  in
   let run_hits_after = hits () in
+  let n_rows = List.length rows in
   Obs.Counter.incr ~by:(run_hits_after - run_hits_before) m_db_hits;
-  Obs.Counter.incr ~by:(List.length !rows) m_rows;
+  Obs.Counter.incr ~by:n_rows m_rows;
   Obs.Trace.note_int "db_hits" (run_hits_after - run_hits_before);
-  Obs.Trace.note_int "rows" (List.length !rows);
+  Obs.Trace.note_int "rows" n_rows;
   {
     columns = prog.columns;
-    rows = List.map (fun row -> List.map (fun output -> output row) prog.outputs) !rows;
-    profile = (if profile then Some (List.rev !entries) else None);
+    rows = List.map (fun row -> List.map (fun output -> output row) prog.outputs) rows;
+    profile = (if profile then Some entries else None);
     updates =
       {
         nodes_created = acc.u_nodes_created;

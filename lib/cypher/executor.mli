@@ -2,13 +2,18 @@
 
     A plan is compiled once, when it enters the plan cache: variables
     become integer slots of an [item array] row, expressions become
-    closures, and parameters are resolved once per run. Operators then
-    run eagerly, one at a time, over materialised row lists; this
-    makes per-operator profiling exact: the rows produced and the db
-    hits charged by each operator are measured around its whole
-    evaluation, which is what Cypher's PROFILE reports and what the
-    paper used to compare query phrasings. It also fixes the order of
-    store accesses to the plan's operator order. *)
+    closures, and parameters are resolved once per run. Each operator
+    reads its input through a producer and, but for the label scan,
+    materialises its output: operators run one at a time, so the
+    order of store accesses is the plan's operator order. The label
+    scan streams into its consumer; its entries come from the
+    in-memory scan store (one db hit, no page), so the interleaving
+    moves no page access. Profiling stays exact: a materialised
+    operator is measured around its whole evaluation, and a streamed
+    scan counts its rows and brackets each call into its consumer, so
+    each operator reports the rows and db hits it would with the scan
+    materialised: what Cypher's PROFILE reports and what the paper
+    used to compare query phrasings. *)
 
 type profile_entry = {
   name : string;  (** operator name, e.g. "Expand(All)" *)

@@ -131,6 +131,9 @@ type t = {
   type_dict : Dict.t;
   key_dict : Dict.t;
   label_scans : (int, label_scan) Hashtbl.t;
+  (* Deleted nodes whose label-scan entries stay while a transaction is
+     open (node -> label id): an older snapshot may still see them. *)
+  scan_dead : (int, int) Hashtbl.t;
   type_counts : (int, int ref) Hashtbl.t;
   indexes : (index_key, (int, node_id list ref) Hashtbl.t) Hashtbl.t;
   settings : settings;
@@ -171,6 +174,7 @@ let create ?config ?pool_pages ?checkpoint_dirty_pages ?(dense_node_threshold = 
       type_dict = Dict.create ();
       key_dict = Dict.create ();
       label_scans = Hashtbl.create 8;
+      scan_dead = Hashtbl.create 8;
       type_counts = Hashtbl.create 8;
       indexes = Hashtbl.create 8;
       settings =
@@ -221,6 +225,7 @@ let clone t =
     type_dict = Dict.clone t.type_dict;
     key_dict = Dict.clone t.key_dict;
     label_scans = copy_tbl (fun s -> { ids = Array.copy s.ids; len = s.len }) t.label_scans;
+    scan_dead = Hashtbl.create 8;
     type_counts = copy_tbl (fun r -> ref !r) t.type_counts;
     indexes = copy_tbl (copy_tbl (fun r -> ref !r)) t.indexes;
     wal = Option.map (fun w -> Wal.clone w disk) t.wal;
@@ -250,6 +255,35 @@ let save_version = 6 (* v6: codec-encoded logical image replaces Marshal *)
 let labels t = Dict.names t.label_dict
 let edge_types t = Dict.names t.type_dict
 let property_keys t = Dict.names t.key_dict
+
+(* ---------------- label scan store ---------------- *)
+
+let scan_for t label_id =
+  match Hashtbl.find_opt t.label_scans label_id with
+  | Some scan -> scan
+  | None ->
+    let scan = { ids = Array.make 16 0; len = 0 } in
+    Hashtbl.replace t.label_scans label_id scan;
+    scan
+
+let scan_add t label_id node =
+  let scan = scan_for t label_id in
+  if scan.len = Array.length scan.ids then begin
+    let bigger = Array.make (2 * scan.len) 0 in
+    Array.blit scan.ids 0 bigger 0 scan.len;
+    scan.ids <- bigger
+  end;
+  scan.ids.(scan.len) <- node;
+  scan.len <- scan.len + 1
+
+let scan_remove t label_id node =
+  let scan = scan_for t label_id in
+  let rec find i = if i >= scan.len then -1 else if scan.ids.(i) = node then i else find (i + 1) in
+  let i = find 0 in
+  if i >= 0 then begin
+    scan.ids.(i) <- scan.ids.(scan.len - 1);
+    scan.len <- scan.len - 1
+  end
 
 (* ---------------- transactions (MVCC-lite) ---------------- *)
 
@@ -290,11 +324,18 @@ let open_txn_count t = List.length t.open_txns
 
 (* The table is cleared as soon as no transaction is open: any later
    snapshot begins after every commit recorded here, so nothing old
-   enough to need a before-image can ever look again. *)
+   enough to need a before-image can ever look again — nor see a
+   deleted node, so its label-scan entry goes too. *)
 let gc_versions t =
-  if t.open_txns = [] && t.shared then begin
-    Hashtbl.reset t.versions;
-    t.shared <- false
+  if t.open_txns = [] then begin
+    if t.shared then begin
+      Hashtbl.reset t.versions;
+      t.shared <- false
+    end;
+    if Hashtbl.length t.scan_dead > 0 then begin
+      Hashtbl.iter (fun node label_id -> scan_remove t label_id node) t.scan_dead;
+      Hashtbl.reset t.scan_dead
+    end
   end
 
 (* Reads and writes consult version chains only while some exist;
@@ -641,35 +682,6 @@ let write_prop t ~store ~owner ~head_field key value =
     fun () ->
       Record_store.set t.props ~id:prop ~field:p_tag old_tag;
       Record_store.set t.props ~id:prop ~field:p_payload old_payload
-
-(* ---------------- label scan store ---------------- *)
-
-let scan_for t label_id =
-  match Hashtbl.find_opt t.label_scans label_id with
-  | Some scan -> scan
-  | None ->
-    let scan = { ids = Array.make 16 0; len = 0 } in
-    Hashtbl.replace t.label_scans label_id scan;
-    scan
-
-let scan_add t label_id node =
-  let scan = scan_for t label_id in
-  if scan.len = Array.length scan.ids then begin
-    let bigger = Array.make (2 * scan.len) 0 in
-    Array.blit scan.ids 0 bigger 0 scan.len;
-    scan.ids <- bigger
-  end;
-  scan.ids.(scan.len) <- node;
-  scan.len <- scan.len + 1
-
-let scan_remove t label_id node =
-  let scan = scan_for t label_id in
-  let rec find i = if i >= scan.len then -1 else if scan.ids.(i) = node then i else find (i + 1) in
-  let i = find 0 in
-  if i >= 0 then begin
-    scan.ids.(i) <- scan.ids.(scan.len - 1);
-    scan.len <- scan.len - 1
-  end
 
 (* ---------------- indexes ---------------- *)
 
@@ -1088,7 +1100,10 @@ let nodes_with_label t label =
       end
     in
     let seq = from 0 in
-    if versioned t then Seq.filter (node_exists t) seq else seq
+    if versioned t then Seq.filter (node_exists t) seq
+    else if Hashtbl.length t.scan_dead > 0 then
+      Seq.filter (fun node -> not (Hashtbl.mem t.scan_dead node)) seq
+    else seq
 
 let is_dense_node t id =
   check_node t id;
@@ -1111,7 +1126,10 @@ let edge_count t = t.edge_count
 let label_count t label =
   match Dict.find t.label_dict label with
   | None -> 0
-  | Some label_id -> (scan_for t label_id).len
+  | Some label_id ->
+    Hashtbl.fold
+      (fun _ l n -> if l = label_id then n - 1 else n)
+      t.scan_dead (scan_for t label_id).len
 
 let edge_type_count t etype =
   match Dict.find t.type_dict etype with
@@ -1275,11 +1293,15 @@ let delete_node t id =
       (Property.to_list props)
   in
   Record_store.set t.nodes ~id ~field:n_in_use 0;
-  scan_remove t label_id id;
+  (* While a transaction is open some snapshot may predate this
+     delete: the scan entry stays, hidden from later views, until the
+     last transaction closes. *)
+  let deferred = t.open_txns <> [] in
+  if deferred then Hashtbl.replace t.scan_dead id label_id else scan_remove t label_id id;
   t.node_count <- t.node_count - 1;
   push_entry t (K_node id) ~before_img:B_present ~undo:(fun () ->
       Record_store.set t.nodes ~id ~field:n_in_use 1;
-      scan_add t label_id id;
+      if deferred then Hashtbl.remove t.scan_dead id else scan_add t label_id id;
       t.node_count <- t.node_count + 1;
       List.iter (fun u -> u ()) index_undos);
   log_redo t (Wal.Delete_node id);

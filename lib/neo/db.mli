@@ -175,12 +175,13 @@ val property_keys : t -> string list
     active one with {!activate}. {!with_tx} wraps the common case of
     one transaction at a time around a callback.
 
-    Caveat (documented limitation): deletions by a {e concurrent}
-    transaction are unlinked from relationship chains and label scans
-    in place, so older snapshots stop seeing them in [edges_of] /
-    [nodes_with_label] before the deleter commits. Existence checks
-    and [all_nodes] resolve correctly. The audit workloads are
-    insert/update-only. *)
+    Caveat (documented limitation): edge deletions by a {e
+    concurrent} transaction are unlinked from relationship chains in
+    place, so older snapshots stop seeing them in [edges_of] before
+    the deleter commits. Existence checks, [all_nodes] and
+    [nodes_with_label] resolve correctly: a deleted node keeps its
+    label-scan entry until the last open transaction closes. The
+    audit workloads are insert/update-only. *)
 
 exception Tx_error of string
 (** Transaction-API misuse: {!with_tx} while a transaction is open,
@@ -338,6 +339,9 @@ val densify_node : t -> Mgq_core.Types.node_id -> unit
 val node_count : t -> int
 val edge_count : t -> int
 val label_count : t -> string -> int
+(** Nodes carrying the label in the in-place state: uncommitted
+    creations count, deletions do not. *)
+
 val edge_type_count : t -> string -> int
 
 (** {1 Schema indexes} *)

@@ -204,6 +204,8 @@ let record_page_flush ?(n = 1) t =
 
 let advance_ns t ns = t.acc_simulated_ns <- t.acc_simulated_ns + ns
 
+let db_hits t = t.acc_db_hits
+
 let snapshot t =
   {
     db_hits = t.acc_db_hits;

@@ -84,6 +84,9 @@ val advance_ns : t -> int -> unit
 
 val snapshot : t -> counters
 
+val db_hits : t -> int
+(** [(snapshot t).db_hits] without building the record. *)
+
 val reset : t -> unit
 (** Zero this model's counters; its counts stay in the [store.*]
     totals. *)

@@ -109,6 +109,38 @@ let test_lone_writer_reads_in_place () =
   check Alcotest.(pair int int) "own edge counted" (5, 5) (fst inside);
   check Alcotest.int "same db hits as with no transaction" (snd (probe ())) (snd inside)
 
+(* A snapshot that predates a delete finds the node in its label scan
+   as in [all_nodes], before and after the deleter commits; the entry
+   goes when the last transaction closes, and a rolled-back delete
+   leaves exactly one. *)
+let test_label_scan_under_snapshot () =
+  let db = Db.create () in
+  let n0 = mk_reg db 1 and n1 = mk_reg db 2 in
+  let scan () = List.sort compare (List.of_seq (Db.nodes_with_label db "reg")) in
+  let all () = List.of_seq (Db.all_nodes db) in
+  let ids = Alcotest.(list int) in
+  let reader = Db.begin_txn db in
+  let writer = Db.begin_txn db in
+  Db.delete_node db n0;
+  check ids "the writer's scan drops its delete" [ n1 ] (scan ());
+  Db.activate db reader;
+  check ids "reader: all_nodes" [ n0; n1 ] (all ());
+  check ids "reader: label scan" [ n0; n1 ] (scan ());
+  Db.commit_txn db writer;
+  Db.activate db reader;
+  check ids "reader after the commit: all_nodes" [ n0; n1 ] (all ());
+  check ids "reader after the commit: label scan" [ n0; n1 ] (scan ());
+  Db.commit_txn db reader;
+  check ids "no transaction open: gone" [ n1 ] (scan ());
+  check Alcotest.int "label count" 1 (Db.label_count db "reg");
+  let lone = Db.begin_txn db in
+  Db.delete_node db n1;
+  check ids "a lone deleter's scan" [] (scan ());
+  check Alcotest.int "a lone deleter's label count" 0 (Db.label_count db "reg");
+  Db.rollback_txn db lone;
+  check ids "rolled back: one entry" [ n1 ] (scan ());
+  check Alcotest.int "rolled back: label count" 1 (Db.label_count db "reg")
+
 (* A second transaction that begins while a lone writer is open sees
    the writer's before-image, and its own write to that key loses. *)
 let test_second_viewer_publishes () =
@@ -379,6 +411,8 @@ let () =
           Alcotest.test_case "second viewer publishes" `Quick test_second_viewer_publishes;
           Alcotest.test_case "stale write fails at chain head" `Quick
             test_stale_write_fails_at_chain_head;
+          Alcotest.test_case "label scan under snapshot isolation" `Quick
+            test_label_scan_under_snapshot;
         ] );
       ( "scheduler",
         [ Alcotest.test_case "seeded determinism" `Quick test_determinism ] );

@@ -724,6 +724,21 @@ let test_match_create_per_row () =
   let rows = run s "MATCH (:user)-[:has]->(b:badge) RETURN count(*) AS c" in
   check rows_testable "all connected" [ [ Value.Int 5 ] ] rows
 
+(* The label scan streams into its consumer, but a writer reads its
+   whole input first: creations of the scanned label are not scanned,
+   and a delete removes every node the scan found. *)
+let test_scan_misses_own_writes () =
+  let s, _ = session () in
+  (* The budget turns a scan that chases its own creations into a
+     failure rather than a hang. *)
+  let budget = Mgq_util.Budget.create ~max_hits:10_000 () in
+  let r = Cypher.run ~budget s "MATCH (u:user) CREATE (:user {uid: 900})" in
+  check Alcotest.int "one per user before the statement" 5 r.Cypher.updates.Executor.nodes_created;
+  check rows_testable "ten users" [ [ Value.Int 10 ] ] (run s "MATCH (u:user) RETURN count(u)");
+  let r = Cypher.run s "MATCH (u:user) DETACH DELETE u" in
+  check Alcotest.int "every user deleted" 10 r.Cypher.updates.Executor.nodes_deleted;
+  check rows_testable "none left" [ [ Value.Int 0 ] ] (run s "MATCH (u:user) RETURN count(u)")
+
 let test_create_then_return () =
   let s, _ = session () in
   let rows = run s "CREATE (n:user {uid: 300}) RETURN n.uid" in
@@ -1069,6 +1084,8 @@ let suite =
         Alcotest.test_case "create uses index" `Quick test_create_uses_index;
         Alcotest.test_case "create relationship" `Quick test_create_relationship_pattern;
         Alcotest.test_case "match+create per row" `Quick test_match_create_per_row;
+        Alcotest.test_case "a streamed scan misses its own writes" `Quick
+          test_scan_misses_own_writes;
         Alcotest.test_case "create then return" `Quick test_create_then_return;
         Alcotest.test_case "set property" `Quick test_set_property;
         Alcotest.test_case "set maintains index" `Quick test_set_maintains_index;

@@ -19,6 +19,13 @@ wins, losses and ties against the parent, judged by the metric's
 ticks (the `steal` column of /proc/stat's `cpu` line) over each run.
 With --trace 1 the runs are traced and the metrics are the per-layer
 ones. Run from the repository root; stdlib only.
+
+Prints, per workload and metric, the medians and one verdict: `gain`
+when the change wins at least 9 in 10 pairs and the medians differ by
+more than the parent's interquartile range; `worse` when the change's
+median is worse than the parent's by more than the metric's `bound`
+(end-to-end metrics only); `same` otherwise. Then it lists every run
+that failed operations or gave a wrong answer.
 """
 import argparse
 import json
@@ -99,6 +106,25 @@ def summarise(runs, spec):
     return metrics
 
 
+def verdict(m, bound, pairs):
+    """gain, worse or same: the acceptance rule for one metric."""
+    p, c = m["parent"]["median"], m["change"]["median"]
+    if m["wins"] >= 0.9 * pairs and m["beyond_parent_iqr"]:
+        return "gain"
+    worse_by = (c - p) if m["better"] == "lower" else (p - c)
+    if bound is not None and p and worse_by / abs(p) > bound:
+        return "worse"
+    return "same"
+
+
+def faulty_runs(report):
+    """(workload, seed, side) of every run with failed ops or a wrong answer."""
+    return [(workload, pair["seed"], side)
+            for workload, w in report["workloads"].items()
+            for pair in w["runs"] for side in ("parent", "change")
+            if pair[side]["failed"] > 0 or not pair[side]["correct"]]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", required=True)
@@ -139,10 +165,17 @@ def main():
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
+    bounds = {m["name"]: m.get("bound") for m in spec}
     for workload, w in report["workloads"].items():
         for name, m in w["metrics"].items():
             print(f"{workload:12} {name:30} {m['parent']['median']:>12.4g} -> "
-                  f"{m['change']['median']:>12.4g}  wins {m['wins']}/{args.pairs}")
+                  f"{m['change']['median']:>12.4g}  wins {m['wins']}/{args.pairs}  "
+                  f"{verdict(m, bounds[name], args.pairs)}")
+    faulty = faulty_runs(report)
+    for workload, seed, side in faulty:
+        print(f"faulty run: {workload} seed {seed} {side}")
+    if not faulty:
+        print("faulty runs: none")
 
 
 if __name__ == "__main__":
